@@ -9,7 +9,7 @@ Three PR 5 measurements, one JSON summary (``BENCH_pr5.json``):
   remaining cells replay the *same* cached schedule, so the sweep is
   O(faults) instead of O(references).  Acceptance requires >= 3x
   end-to-end (warm sweep vs the identical sweep with ``--no-compile``
-  semantics, i.e. ``compile_schedules=False``).
+  semantics, i.e. ``EngineConfig(compile=False)``).
 * **paper-scale A/B** — the fig2 GAUSS/parity-logging cell compiled vs
   interpreted, reported but *unthresholded*: at paper scale the wire
   simulation dominates wall-clock, so the per-reference savings are
@@ -20,23 +20,29 @@ Three PR 5 measurements, one JSON summary (``BENCH_pr5.json``):
   on the same machine in the same run; the < 3% regression budget
   guards the simulator core the replay path leans on.
 
-The PR 6 measurement rides the same harness under ``--paper-scale``
-(``BENCH_pr6.json``):
+The paper-scale record rides the same harness under ``--paper-scale``
+(``BENCH_pr12.json``; ``BENCH_pr6.json`` is the retired record of the
+former whole-run memo tier, kept as history):
 
-* **paper-scale sweep** — the full-size GAUSS workload swept across
-  three reliability policies with the effect-capsule tier enabled
-  (``REPRO_EFFECT_CACHE=1``).  The cold sweep compiles schedules and
-  records one capsule per cell; the warm sweep replays each capsule in
-  O(1) kernel events.  Acceptance requires the warm sweep >= 10x the
-  identical ``--no-compile`` sweep with byte-identical
-  ``CompletionReport``s and metric snapshots, and the analytic-Ethernet
-  axis (``analytic_ethernet=False``) byte-identical as well.
+* **warm campaign** — the full-size GAUSS workload under three
+  reliability policies as one ``ExperimentRunner`` campaign with the
+  result cache on, re-run warm (every cell a cache hit).  The ratio's
+  base is the identical campaign with the result cache off (default
+  engine, warm schedule cache): what re-running ``repro fig2`` costs
+  without the cache.  Acceptance requires >= 10x and the cached reports
+  byte-identical to the computed ones.
+* **engine matrix** — the same campaign, uncached, on every engine:
+  compiled/interpreted x analytic/frame-level Ethernet.  Acceptance
+  requires byte-identical ``CompletionReport``s and metric snapshots
+  across all four; the compiled-vs-interpreted ratio on the analytic
+  wire is recorded as ``paper_scale_ab.speedup``, unthresholded (wire
+  simulation dominates paper-scale cells).
 
 Run as a script for the JSON record, ``--check`` to enforce the
 acceptance thresholds (CI's bench-regression job does both)::
 
     PYTHONPATH=src python benchmarks/bench_compile.py --out BENCH_pr5.json --check
-    PYTHONPATH=src python benchmarks/bench_compile.py --paper-scale --out BENCH_pr6.json --check
+    PYTHONPATH=src python benchmarks/bench_compile.py --paper-scale --out BENCH_pr12.json --check
 
 or under pytest for a smaller-sized smoke check.
 """
@@ -62,9 +68,9 @@ from bench_kernel import measure_kernels  # noqa: E402
 COMPILE_SPEEDUP_FLOOR = 3.0
 KERNEL_REGRESSION_BUDGET = 0.03
 
-#: PR 6 acceptance threshold (``--paper-scale --check``): warm
-#: effect-capsule sweep vs the identical interpreted sweep.
-PAPER_SWEEP_SPEEDUP_FLOOR = 10.0
+#: Paper-scale acceptance threshold (``--paper-scale --check``): warm
+#: result-cache campaign vs the identical uncached campaign.
+WARM_CAMPAIGN_SPEEDUP_FLOOR = 10.0
 
 #: The multi-policy sweep.  The schedule key is reliability-blind (the
 #: policy changes how faults are *serviced*, never which references
@@ -102,6 +108,7 @@ def _bench_workload(n_refs: int):
 
 
 def _run_sweep(n_refs: int, compile_on: bool) -> dict:
+    from repro.config import EngineConfig
     from repro.core.builder import build_cluster
 
     spec = _bench_spec()
@@ -110,7 +117,7 @@ def _run_sweep(n_refs: int, compile_on: bool) -> dict:
     for policy in SWEEP_POLICIES:
         cluster = build_cluster(
             policy=policy, n_servers=2, seed=9, machine_spec=spec,
-            compile_schedules=compile_on,
+            engine=EngineConfig(compile=compile_on),
         )
         reports[policy] = cluster.run(_bench_workload(n_refs))
     wall = perf_counter() - start
@@ -162,12 +169,14 @@ def measure_compile_ab(n_refs: int = 400_000, repeats: int = 3) -> dict:
 # --------------------------------------------------------------------------
 
 def _run_gauss(compile_on: bool) -> dict:
+    from repro.config import EngineConfig
     from repro.core.builder import build_cluster
     from repro.workloads import Gauss
 
+    # No schedule cache: measure compile + replay honestly.
     cluster = build_cluster(
         policy="parity-logging", n_servers=4, overflow_fraction=0.10,
-        compile_schedules=compile_on,
+        engine=EngineConfig(compile=compile_on, schedule_cache=False),
     )
     start = perf_counter()
     report = cluster.run(Gauss())
@@ -176,22 +185,14 @@ def _run_gauss(compile_on: bool) -> dict:
 
 
 def measure_paper_scale_ab(repeats: int = 3) -> dict:
-    previous = os.environ.get("REPRO_SCHEDULE_CACHE")
-    os.environ["REPRO_SCHEDULE_CACHE"] = "0"  # measure compile + replay honestly
-    try:
-        compiled = min(
-            _run_gauss(True)["wall_seconds"] for _ in range(repeats)
-        )
-        interp_run = _run_gauss(False)
-        interpreted = min(
-            [interp_run["wall_seconds"]]
-            + [_run_gauss(False)["wall_seconds"] for _ in range(repeats - 1)]
-        )
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_SCHEDULE_CACHE", None)
-        else:
-            os.environ["REPRO_SCHEDULE_CACHE"] = previous
+    compiled = min(
+        _run_gauss(True)["wall_seconds"] for _ in range(repeats)
+    )
+    interp_run = _run_gauss(False)
+    interpreted = min(
+        [interp_run["wall_seconds"]]
+        + [_run_gauss(False)["wall_seconds"] for _ in range(repeats - 1)]
+    )
     return {
         "app": "gauss",
         "policy": "parity-logging",
@@ -206,103 +207,155 @@ def measure_paper_scale_ab(repeats: int = 3) -> dict:
 
 
 # --------------------------------------------------------------------------
-# PR 6 paper-scale sweep: effect capsules + analytic Ethernet, both A/B'd.
+# Paper-scale campaign: warm result cache + the engine matrix.
 # --------------------------------------------------------------------------
 
-def _paper_sweep(compile_on: bool, analytic=None) -> dict:
-    """One full-size GAUSS sweep; returns wall time and every report."""
+#: The engine matrix: compiled/interpreted x analytic/frame-level wire.
+ENGINES = {
+    "compiled+analytic": {},
+    "compiled+frame-level": {"analytic_ethernet": False},
+    "interpreted+analytic": {"compile": False},
+    "interpreted+frame-level": {"compile": False, "analytic_ethernet": False},
+}
+
+#: Warm (all-hit) campaign passes timed; the median is reported.
+WARM_PASSES = 21
+
+#: What the warm-campaign ratio divides by, stated in the record.
+WARM_CAMPAIGN_BASE = (
+    "the identical ExperimentRunner campaign with the result cache off "
+    "(default engine, warm schedule cache)"
+)
+
+
+def _campaign_specs():
+    from repro.runner import RunSpec
+
+    return [
+        RunSpec.make("gauss", policy, label=f"gauss/{policy}")
+        for policy in SWEEP_POLICIES
+    ]
+
+
+def _campaign(runner) -> dict:
+    """One pass of the paper-scale campaign; wall time and every cell."""
     import dataclasses
 
-    from repro.core.builder import build_cluster
-    from repro.workloads import Gauss
-
-    reports = {}
-    snapshots = {}
     start = perf_counter()
-    for policy in SWEEP_POLICIES:
-        cluster = build_cluster(
-            policy=policy, n_servers=4, overflow_fraction=0.10,
-            compile_schedules=compile_on, analytic_ethernet=analytic,
-        )
-        reports[policy] = dataclasses.asdict(cluster.run(Gauss()))
-        snapshots[policy] = cluster.metrics.snapshot()
+    results = runner.run(_campaign_specs())
     wall = perf_counter() - start
-    return {"wall": wall, "reports": reports, "snapshots": snapshots}
-
-
-def measure_paper_sweep(repeats: int = 3) -> dict:
-    """Warm capsule-replay sweep vs the interpreted sweep, plus the
-    analytic-Ethernet A/B, all byte-compared."""
-    saved = {
-        name: os.environ.get(name)
-        for name in ("REPRO_CACHE_DIR", "REPRO_EFFECT_CACHE")
+    return {
+        "wall": wall,
+        "reports": [
+            json.dumps(dataclasses.asdict(r.report), sort_keys=True)
+            for r in results
+        ],
+        "snapshots": [
+            json.dumps(r.report.meta.get("metrics", {}), sort_keys=True)
+            for r in results
+        ],
+        "cached": [r.cached for r in results],
+        "faults": results[0].report.faults,
     }
+
+
+def measure_warm_campaign(repeats: int = 3) -> dict:
+    """Warm result-cache campaign vs the identical uncached campaign,
+    plus byte identity across the engine matrix.  Both sides of the
+    ratio are medians: ``repeats`` uncached passes, ``WARM_PASSES``
+    warm ones."""
+    from statistics import median
+
+    from repro.config import EngineConfig
+    from repro.runner import ExperimentRunner
+
+    previous = os.environ.get("REPRO_CACHE_DIR")
     with tempfile.TemporaryDirectory(prefix="bench-paper-") as cache_dir:
         os.environ["REPRO_CACHE_DIR"] = cache_dir
-        os.environ["REPRO_EFFECT_CACHE"] = "1"
         try:
-            # Cold: compiles each cell's schedule and records its effect
-            # capsule.  Warm: every cell replays its capsule in O(1)
-            # kernel events.
-            cold = _paper_sweep(True)
-            warm_runs = [_paper_sweep(True) for _ in range(repeats)]
-            interpreted_runs = [_paper_sweep(False) for _ in range(repeats)]
-            # The two remaining axes, once each (identity, not timing):
-            # frame-level Ethernet under both execution modes.
-            frame_interp = _paper_sweep(False, analytic=False)
-            frame_warm = _paper_sweep(True, analytic=False)
+            uncached = [
+                _campaign(ExperimentRunner(use_cache=False))
+                for _ in range(repeats)
+            ]
+            cold = _campaign(ExperimentRunner(use_cache=True))
+            warm = [
+                _campaign(ExperimentRunner(use_cache=True))
+                for _ in range(WARM_PASSES)
+            ]
+            matrix = {
+                name: _campaign(ExperimentRunner(
+                    use_cache=False, engine=EngineConfig(**fields)
+                ))
+                for name, fields in ENGINES.items()
+            }
         finally:
-            for name, value in saved.items():
-                if value is None:
-                    os.environ.pop(name, None)
-                else:
-                    os.environ[name] = value
+            if previous is None:
+                os.environ.pop("REPRO_CACHE_DIR", None)
+            else:
+                os.environ["REPRO_CACHE_DIR"] = previous
 
-    interpreted = interpreted_runs[0]
-    warm = warm_runs[0]
-    identical_reports = all(
-        run["reports"] == interpreted["reports"]
-        for run in [cold, frame_interp, frame_warm] + warm_runs
-    )
-    identical_metrics = all(
-        run["snapshots"] == interpreted["snapshots"]
-        for run in [cold, frame_interp, frame_warm] + warm_runs
-    )
-    warm_wall = min(run["wall"] for run in warm_runs)
-    interp_wall = min(run["wall"] for run in interpreted_runs)
-    sample = interpreted["reports"][SWEEP_POLICIES[0]]
+    base = uncached[0]
+    uncached_wall = median(run["wall"] for run in uncached)
+    warm_wall = median(run["wall"] for run in warm)
+    compiled = matrix["compiled+analytic"]["wall"]
+    interpreted = matrix["interpreted+analytic"]["wall"]
     return {
-        "app": "gauss",
-        "policies": list(SWEEP_POLICIES),
-        "faults": sample["faults"],
-        "etime": {
-            name: round(r["etime"], 4)
-            for name, r in interpreted["reports"].items()
+        "warm_campaign": {
+            "app": "gauss",
+            "policies": list(SWEEP_POLICIES),
+            "faults": base["faults"],
+            "base": WARM_CAMPAIGN_BASE,
+            "uncached_passes": len(uncached),
+            "uncached_seconds": round(uncached_wall, 4),
+            "cold_seconds": round(cold["wall"], 4),
+            "warm_passes": len(warm),
+            "warm_ms": round(warm_wall * 1e3, 3),
+            "all_warm_cells_cached": all(all(run["cached"]) for run in warm),
+            "identical_reports": all(
+                run["reports"] == base["reports"]
+                and run["snapshots"] == base["snapshots"]
+                for run in uncached + [cold] + warm
+            ),
+            "speedup": round(uncached_wall / warm_wall, 2),
         },
-        "cold_seconds": round(cold["wall"], 4),
-        "warm_seconds": round(warm_wall, 4),
-        "interpreted_seconds": round(interp_wall, 4),
-        "frame_level_interpreted_seconds": round(frame_interp["wall"], 4),
-        "identical_reports": identical_reports,
-        "identical_metrics": identical_metrics,
-        "cold_speedup": round(interp_wall / cold["wall"], 2),
-        "speedup": round(interp_wall / warm_wall, 2),
+        "engine_matrix": {
+            "seconds": {
+                name: round(run["wall"], 4) for name, run in matrix.items()
+            },
+            "identical_reports": all(
+                run["reports"] == base["reports"] for run in matrix.values()
+            ),
+            "identical_metrics": all(
+                run["snapshots"] == base["snapshots"] for run in matrix.values()
+            ),
+        },
+        # Unthresholded: the wire simulation dominates these cells.
+        "paper_scale_ab": {
+            "compiled_seconds": round(compiled, 4),
+            "interpreted_seconds": round(interpreted, 4),
+            "speedup": round(interpreted / compiled, 2),
+        },
     }
 
 
-def check_paper_sweep(summary: dict) -> list:
-    """The PR 6 acceptance thresholds; returns a list of failures."""
+def check_warm_campaign(summary: dict) -> list:
+    """The paper-scale acceptance thresholds; returns a list of failures."""
     failures = []
-    sweep = summary["paper_sweep"]
-    if sweep["speedup"] < PAPER_SWEEP_SPEEDUP_FLOOR:
+    campaign = summary["warm_campaign"]
+    if campaign["speedup"] < WARM_CAMPAIGN_SPEEDUP_FLOOR:
         failures.append(
-            f"paper-scale warm sweep {sweep['speedup']:.2f}x < "
-            f"{PAPER_SWEEP_SPEEDUP_FLOOR}x floor"
+            f"warm paper-scale campaign {campaign['speedup']:.2f}x < "
+            f"{WARM_CAMPAIGN_SPEEDUP_FLOOR}x floor"
         )
-    if not sweep["identical_reports"]:
-        failures.append("paper-scale sweep reports diverged across fast paths")
-    if not sweep["identical_metrics"]:
-        failures.append("paper-scale sweep metrics diverged across fast paths")
+    if not campaign["all_warm_cells_cached"]:
+        failures.append("warm campaign recomputed cells it had cached")
+    if not campaign["identical_reports"]:
+        failures.append("cached campaign reports diverged from computed ones")
+    matrix = summary["engine_matrix"]
+    if not matrix["identical_reports"]:
+        failures.append("campaign reports diverged across the engine matrix")
+    if not matrix["identical_metrics"]:
+        failures.append("campaign metrics diverged across the engine matrix")
     return failures
 
 
@@ -361,12 +414,10 @@ def test_paper_scale_not_slower(benchmark, once):
     assert results["speedup"] >= 1.0
 
 
-def test_paper_sweep_capsules_fast_and_identical(benchmark, once):
-    results = once(benchmark, measure_paper_sweep, repeats=2)
+def test_warm_campaign_fast_and_identical(benchmark, once):
+    results = once(benchmark, measure_warm_campaign, repeats=2)
     print("\n" + json.dumps(results, indent=2))
-    assert results["identical_reports"]
-    assert results["identical_metrics"]
-    assert results["speedup"] >= PAPER_SWEEP_SPEEDUP_FLOOR
+    assert check_warm_campaign(results) == []
 
 
 def main(argv=None) -> int:
@@ -378,7 +429,8 @@ def main(argv=None) -> int:
     parser.add_argument("--refs", type=int, default=400_000,
                         help="reference-stream length for the compile A/B")
     parser.add_argument("--paper-scale", action="store_true",
-                        help="run only the PR 6 paper-scale capsule sweep")
+                        help="run only the paper-scale warm-campaign and "
+                        "engine-matrix record")
     parser.add_argument("--check", action="store_true",
                         help="enforce the acceptance thresholds")
     parser.add_argument("--out", default="-", metavar="PATH",
@@ -386,7 +438,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.paper_scale:
-        summary = {"paper_sweep": measure_paper_sweep(repeats=args.repeats)}
+        summary = measure_warm_campaign(repeats=args.repeats)
     else:
         summary = run_benchmarks(
             n_events=args.events, repeats=args.repeats, n_refs=args.refs,
@@ -401,13 +453,13 @@ def main(argv=None) -> int:
 
     if args.check:
         failures = (
-            check_paper_sweep(summary) if args.paper_scale else check(summary)
+            check_warm_campaign(summary) if args.paper_scale else check(summary)
         )
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
         if failures:
             return 1
-        which = "PR 6" if args.paper_scale else "PR 5"
+        which = "paper-scale" if args.paper_scale else "trace-compiler"
         print(f"all {which} benchmark thresholds met")
     return 0
 

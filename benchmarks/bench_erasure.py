@@ -259,7 +259,7 @@ def measure_resilience() -> dict:
 
 def measure_compiled_identity() -> dict:
     """One EC run compiled and interpreted: reports must match exactly."""
-    from repro.config import MachineSpec
+    from repro.config import EngineConfig, MachineSpec
     from repro.core.builder import build_cluster
     from repro.workloads import SequentialScan
 
@@ -278,7 +278,7 @@ def measure_compiled_identity() -> dict:
             content_mode=True,
             seed=3,
             server_capacity_pages=600,
-            compile_schedules=compiled,
+            engine=EngineConfig(compile=compiled),
         )
         report = cluster.run(SequentialScan(n_pages=300, passes=2, write=True))
         snapshots[compiled] = (

@@ -81,8 +81,10 @@ def _leg(
     n_clients: int,
     n_refs: int,
     telemetry_interval: float = 0.0,
+    schedule_cache: bool = True,
 ) -> dict:
     """One fleet campaign; returns wall time plus the full scoreboard."""
+    from repro.config import EngineConfig
     from repro.experiments.fleet import run_fleet
 
     start = perf_counter()
@@ -92,8 +94,11 @@ def _leg(
         n_donors=N_DONORS,
         machine_spec=_machine_spec(),
         telemetry_interval=telemetry_interval,
-        analytic=analytic,
-        compile_schedules=compiled,
+        engine=EngineConfig(
+            compile=compiled,
+            schedule_cache=schedule_cache,
+            analytic_switched=analytic,
+        ),
     )
     wall = perf_counter() - start
     return {"wall": wall, "results": results}
@@ -108,23 +113,15 @@ def measure_fleet_ab(
     n_clients: int = N_CLIENTS, n_refs: int = 150_000, repeats: int = 3
 ) -> dict:
     """Analytic+compiled fleet vs event-driven interpreted, all axes."""
-    previous = os.environ.get("REPRO_SCHEDULE_CACHE")
-    os.environ["REPRO_SCHEDULE_CACHE"] = "0"  # measure compile honestly
-    try:
-        fast_runs = [
-            _leg(True, True, n_clients, n_refs) for _ in range(repeats)
-        ]
-        slow_runs = [
-            _leg(False, False, n_clients, n_refs) for _ in range(repeats)
-        ]
-        # The two cross axes, once each (identity, not timing).
-        analytic_only = _leg(True, False, n_clients, n_refs)
-        compiled_only = _leg(False, True, n_clients, n_refs)
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_SCHEDULE_CACHE", None)
-        else:
-            os.environ["REPRO_SCHEDULE_CACHE"] = previous
+    # No schedule cache: every fast leg measures compile honestly.
+    def leg(analytic, compiled):
+        return _leg(analytic, compiled, n_clients, n_refs, schedule_cache=False)
+
+    fast_runs = [leg(True, True) for _ in range(repeats)]
+    slow_runs = [leg(False, False) for _ in range(repeats)]
+    # The two cross axes, once each (identity, not timing).
+    analytic_only = leg(True, False)
+    compiled_only = leg(False, True)
 
     slow = slow_runs[0]["results"]
     others = [run["results"] for run in fast_runs] + [
@@ -160,8 +157,8 @@ def measure_telemetry_identity(
 ) -> dict:
     """Sampler on (pins interpreted), analytic fabric on vs off: the
     pooled latency histogram must not notice the fast path."""
-    analytic = _leg(True, None, n_clients, n_refs, telemetry_interval=1.0)
-    event = _leg(False, None, n_clients, n_refs, telemetry_interval=1.0)
+    analytic = _leg(True, True, n_clients, n_refs, telemetry_interval=1.0)
+    event = _leg(False, True, n_clients, n_refs, telemetry_interval=1.0)
     latency = analytic["results"].get("pagein_latency") or {}
     return {
         "n_clients": n_clients,

@@ -22,8 +22,9 @@ import sys
 from typing import List, Optional
 
 from . import experiments as exp
+from .config import EngineConfig
 from .log import configure_logging, get_logger
-from .runner import configure_default_runner
+from .runner import configure_default_runner, default_engine
 
 __all__ = ["main", "build_parser"]
 
@@ -129,6 +130,7 @@ def _cmd_fleet(args) -> str:
             seed=args.seed,
             network=args.network,
             telemetry_interval=args.telemetry_interval,
+            engine=default_engine(),
         )
     )
 
@@ -290,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     group.add_argument(
         "--no-cache", action="store_true",
-        help="recompute every run, bypassing the on-disk result cache",
+        help="recompute every run, bypassing the on-disk result and "
+        "compiled-schedule caches",
     )
     group.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -624,26 +627,23 @@ def _trace_paths(path: str) -> tuple:
     return path, f"{base}.chrome.json"
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    import os
+def _engine_config(args) -> EngineConfig:
+    """The one :class:`EngineConfig` the execution flags select."""
+    return EngineConfig(
+        compile=not args.no_compile,
+        # "Recompute every run" covers compiled fault schedules too.
+        schedule_cache=not args.no_cache,
+        analytic_ethernet=not args.no_analytic_ethernet,
+        analytic_switched=not args.no_analytic_switched,
+    )
 
+
+def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     configure_logging(verbose=args.verbose, quiet=args.quiet)
     if args.jobs < 0:
         parser.error(f"argument --jobs: must be >= 0, got {args.jobs}")
-    if args.no_compile:
-        # Environment, not a module flag: worker processes spawned by the
-        # parallel runner inherit it, so the A/B switch holds at any -j.
-        os.environ["REPRO_NO_COMPILE"] = "1"
-    if args.no_analytic_ethernet:
-        os.environ["REPRO_NO_ANALYTIC_ETH"] = "1"
-    if args.no_analytic_switched:
-        os.environ["REPRO_NO_ANALYTIC_SWITCHED"] = "1"
-    if args.no_cache:
-        # "recompute every run" covers compiled fault schedules too
-        # (and the recorded effect capsules keyed off them).
-        os.environ["REPRO_SCHEDULE_CACHE"] = "0"
     profiler = None
     if args.profile:
         import cProfile
@@ -668,10 +668,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             use_cache = False
         tracer = Tracer()
         install_tracer(tracer)
+    # The engine travels with every spec the runner ships (so it holds
+    # at any --jobs and keys the result cache) and reaches the commands
+    # that assemble testbeds inline through default_engine().
     configure_default_runner(
         jobs=args.jobs,
         use_cache=use_cache,
         cache_dir=args.cache_dir,
+        engine=_engine_config(args),
     )
     try:
         if args.command == "all":

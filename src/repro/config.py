@@ -22,6 +22,7 @@ __all__ = [
     "SwitchedNetworkSpec",
     "DiskSpec",
     "ProtocolSpec",
+    "EngineConfig",
     "PAGE_SIZE",
     "DEC_ALPHA_3000_300",
     "ETHERNET_10MBPS",
@@ -195,6 +196,33 @@ class ProtocolSpec:
             raise ValueError(
                 f"batch_cpu_fraction must be in (0, 1]: {self.batch_cpu_fraction}"
             )
+
+
+@dataclass(frozen=True)
+class EngineConfig:
+    """Which host-side fast paths the simulator may take.
+
+    Every axis is an A/B switch over the *same* simulation: reports,
+    metrics and telemetry are byte-identical whichever way each is set
+    (DESIGN.md §13).  Each axis has exactly one switch — this field —
+    which the CLI sets from its ``--no-*`` flags and passes explicitly
+    to :func:`~repro.core.builder.build_cluster`, ``build_fleet`` and
+    the runner (``RunSpec.engine``, so it keys the result cache too).
+
+    * ``compile`` — replay precompiled fault schedules where eligible
+      (``repro.compile``); off interprets every reference stream.
+    * ``schedule_cache`` — reuse compiled schedules stored on disk
+      under the cache directory; off compiles every run afresh.
+    * ``analytic_ethernet`` — serve uncontended shared-Ethernet
+      messages analytically; off walks every frame's CSMA/CD steps.
+    * ``analytic_switched`` — serve uncontended switched-fabric port
+      pairs analytically; off walks every uplink/hop/drain step.
+    """
+
+    compile: bool = True
+    schedule_cache: bool = True
+    analytic_ethernet: bool = True
+    analytic_switched: bool = True
 
 
 #: The paper's client/server workstation: DEC Alpha 3000 model 300, 32 MB.

@@ -20,6 +20,7 @@ from ..config import (
     DEC_RZ55,
     TCP_IP_1996,
     DiskSpec,
+    EngineConfig,
     EthernetSpec,
     MachineSpec,
     ProtocolSpec,
@@ -92,15 +93,10 @@ class Cluster:
     #: injectors draw their dedicated ``faults.*`` streams from it so
     #: chaos never perturbs workload determinism.
     rngs: Optional[RngRegistry] = None
-    #: Process count right after assembly — the effect-capsule planner
-    #: compares it against ``sim.process_count`` to detect background
-    #: activity the capsule could not reproduce.
-    baseline_processes: Optional[int] = None
     #: The sim-clock telemetry sampler and its health monitor; both None
     #: unless the cluster was built with ``telemetry_interval > 0``.
     telemetry: Optional[TelemetrySampler] = None
     health: Optional[HealthMonitor] = None
-    _effects_replayed: bool = field(default=False, repr=False)
 
     def run(self, workload, name: Optional[str] = None):
         """Run ``workload`` to completion; returns its CompletionReport.
@@ -109,51 +105,22 @@ class Cluster:
         replacement policy, no speculative prefetching — see
         ``repro.compile.plan``), the reference stream is compiled to a
         fault schedule and replayed in O(faults); otherwise it executes
-        interpretively.  When, additionally, a recorded *effect capsule*
-        matches this exact cluster configuration (see
-        ``repro.compile.effects``), the whole run is replayed in O(1)
-        kernel events.  Every path produces bit-identical reports.
+        interpretively.  Both paths produce bit-identical reports.
         """
-        from ..compile import capture_effects, plan_run, restore_effects
+        from ..compile import plan_run
 
-        if self._effects_replayed:
-            # A capsule replay restores observable state only — the
-            # backing stores stay empty, so a second workload would
-            # fault on pages that were never really paged out.
-            raise ConfigurationError(
-                "this cluster already served a run from an effect capsule; "
-                "build a fresh cluster for another workload"
-            )
         run_name = name or workload.name
         if self.telemetry is not None:
             # The kernel Periodic retires when the heap drains; re-arm
             # for this run phase so sampling spans the whole workload.
             self.telemetry.ensure_running()
-        plan = plan_run(self, workload)
-        if plan.schedule is None:
+        schedule = plan_run(self, workload)
+        if schedule is None:
             return self._finish(
                 self.machine.run_to_completion(workload.trace(), name=run_name)
             )
-        if plan.effects is not None:
-            effects = plan.effects
-            self._effects_replayed = True
-            return self._finish(self.machine.run_effects_to_completion(
-                plan.schedule,
-                effects,
-                restore=lambda: restore_effects(self, effects),
-                name=run_name,
-            ))
-        if plan.record_key is not None:
-            fault_log: List[float] = []
-            report = self.machine.run_schedule_to_completion(
-                plan.schedule, name=run_name, fault_log=fault_log
-            )
-            plan.record_cache.put(
-                plan.record_key, capture_effects(self, fault_log)
-            )
-            return self._finish(report)
         return self._finish(
-            self.machine.run_schedule_to_completion(plan.schedule, name=run_name)
+            self.machine.run_schedule_to_completion(schedule, name=run_name)
         )
 
     def _finish(self, report):
@@ -209,9 +176,7 @@ def build_cluster(
     pipeline_window: int = 1,
     pipeline_prefetch: int = 0,
     pipeline_backlog: int = 0,
-    compile_schedules: Optional[bool] = None,
-    analytic_ethernet: Optional[bool] = None,
-    analytic_switched: Optional[bool] = None,
+    engine: EngineConfig = EngineConfig(),
     telemetry_interval: float = 0.0,
     telemetry_capacity: int = 512,
     health_warn_load: float = 0.70,
@@ -243,18 +208,10 @@ def build_cluster(
     adaptive prefetcher); the defaults (1, 0, 0) keep the paper's
     synchronous datapath bit-identically.
 
-    ``compile_schedules`` forces the trace-compilation fast path on
-    (True) or off (False) for this cluster's machine; None follows the
-    process default (on, unless ``--no-compile``/``REPRO_NO_COMPILE``).
-
-    ``analytic_ethernet`` forces the uncontended-medium analytic service
-    path of the shared Ethernet on (True) or off (False); None follows
-    the process default (on, unless ``--no-analytic-ethernet`` /
-    ``REPRO_NO_ANALYTIC_ETH``).  Ignored for switched/token-ring
-    networks.  ``analytic_switched`` is the same switch for the
-    full-duplex switched fabric's per-port-pair fast path (process
-    default: on, unless ``--no-analytic-switched`` /
-    ``REPRO_NO_ANALYTIC_SWITCHED``); ignored for other networks.
+    ``engine`` selects the host-side fast paths (trace compilation, the
+    schedule cache, the analytic Ethernet and switched-fabric service
+    paths — see :class:`~repro.config.EngineConfig`).  Every setting
+    produces byte-identical results; the default takes every fast path.
 
     ``telemetry_interval`` (simulated seconds) > 0 installs a
     :class:`~repro.obs.telemetry.TelemetrySampler` that records
@@ -297,13 +254,13 @@ def build_cluster(
     rngs = RngRegistry(seed=seed)
     if switched_spec is not None:
         network: Network = SwitchedNetwork(
-            sim, spec=switched_spec, analytic=analytic_switched
+            sim, spec=switched_spec, analytic=engine.analytic_switched
         )
     elif token_ring_spec is not None:
         network = TokenRing(sim, spec=token_ring_spec)
     else:
         network = EthernetCsmaCd(
-            sim, spec=ethernet_spec, rngs=rngs, analytic=analytic_ethernet
+            sim, spec=ethernet_spec, rngs=rngs, analytic=engine.analytic_ethernet
         )
     stack = ProtocolStack(network, spec=protocol_spec)
     if retry_spec is not None:
@@ -407,7 +364,8 @@ def build_cluster(
         replacement=replacement,
         content_mode=content_mode,
         init_time=init_time,
-        compile_schedules=compile_schedules,
+        compile_schedules=engine.compile,
+        schedule_cache=engine.schedule_cache,
         name="client",
     )
 
@@ -534,9 +492,6 @@ def build_cluster(
         server_hosts=server_hosts,
         metrics=metrics,
         rngs=rngs,
-        # Stamped after assembly: any process spawned beyond this count
-        # (background load, fault injectors) disqualifies capsule replay.
-        baseline_processes=sim.process_count,
         telemetry=telemetry,
         health=health,
     )

@@ -22,7 +22,7 @@ from typing import Dict
 from ..analysis.extrapolate import all_memory_bound, decompose
 from ..analysis.paper_data import FFT_24MB_BREAKDOWN
 from ..analysis.report import format_table
-from ..runner import RunSpec, default_runner
+from ..runner import RunSpec, default_engine, default_runner
 
 __all__ = [
     "run_breakdown",
@@ -111,7 +111,7 @@ def run_observed_breakdown(size_mb: float = 24.0) -> Dict[str, object]:
     from .harness import PAPER_CONFIGS
 
     kwargs = dict(PAPER_CONFIGS["parity-logging"])
-    cluster = build_cluster(**kwargs)
+    cluster = build_cluster(**kwargs, engine=default_engine())
     tracer = current_tracer()
     if tracer is None:
         tracer = Tracer()

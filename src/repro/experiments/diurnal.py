@@ -19,6 +19,7 @@ from typing import Dict
 from ..analysis.report import format_table
 from ..cluster.idle_trace import IdleMemoryTrace
 from ..core.builder import build_cluster
+from ..runner import default_engine
 from ..units import days, hours
 from ..workloads import Mvec
 
@@ -54,6 +55,7 @@ def run_diurnal(
             policy="no-reliability",
             n_servers=n_servers,
             server_capacity_pages=per_server,
+            engine=default_engine(),
         )
         report = cluster.run(workload_factory())
         remote = sum(s.stored_pages for s in cluster.servers)

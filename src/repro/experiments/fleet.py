@@ -34,6 +34,7 @@ from ..analysis.report import format_table
 from ..cluster.workstation import Workstation
 from ..config import (
     DEC_ALPHA_3000_300,
+    EngineConfig,
     EthernetSpec,
     MachineSpec,
     SwitchedNetworkSpec,
@@ -95,8 +96,7 @@ def build_fleet(
     telemetry_capacity: int = 512,
     init_time: float = 0.21,
     stagger: float = _DEFAULT_STAGGER,
-    analytic: Optional[bool] = None,
-    compile_schedules: Optional[bool] = None,
+    engine: EngineConfig = EngineConfig(),
 ) -> Fleet:
     """Assemble the fleet testbed.
 
@@ -113,6 +113,10 @@ def build_fleet(
     a single ``pager.pagein`` histogram (the fleet's tail is a property
     of the cluster, not of one tenant).  Sampling pins interpreted
     execution exactly as it does for single-client clusters.
+
+    ``engine`` selects the host-side fast paths (see
+    :class:`~repro.config.EngineConfig`): its analytic switch for the
+    chosen fabric, and trace compilation for every client machine.
     """
     if n_clients < 1 or n_donors < 1:
         raise ValueError("need at least one client and one donor")
@@ -121,12 +125,13 @@ def build_fleet(
     sim = Simulator()
     if network == "switched":
         fabric: object = SwitchedNetwork(
-            sim, spec=switched_spec or SwitchedNetworkSpec(), analytic=analytic
+            sim, spec=switched_spec or SwitchedNetworkSpec(),
+            analytic=engine.analytic_switched,
         )
     else:
         fabric = EthernetCsmaCd(
             sim, spec=ethernet_spec, rngs=RngRegistry(seed=seed),
-            analytic=analytic,
+            analytic=engine.analytic_ethernet,
         )
     stack = ProtocolStack(fabric)
 
@@ -166,7 +171,8 @@ def build_fleet(
                 machine_spec,
                 pager,
                 init_time=init_time + stagger * c,
-                compile_schedules=compile_schedules,
+                compile_schedules=engine.compile,
+                schedule_cache=engine.schedule_cache,
                 name=client_name,
             )
         )
@@ -232,8 +238,7 @@ def run_fleet(
     machine_spec: MachineSpec = DEC_ALPHA_3000_300,
     telemetry_interval: float = 0.0,
     stagger: float = _DEFAULT_STAGGER,
-    analytic: Optional[bool] = None,
-    compile_schedules: Optional[bool] = None,
+    engine: EngineConfig = EngineConfig(),
 ) -> Dict[str, object]:
     """One fleet campaign: every client runs ``workload`` concurrently.
 
@@ -257,8 +262,7 @@ def run_fleet(
         machine_spec=machine_spec,
         telemetry_interval=telemetry_interval,
         stagger=stagger,
-        analytic=analytic,
-        compile_schedules=compile_schedules,
+        engine=engine,
     )
     workloads = [make_workload(name, dict(kwargs)) for _ in fleet.machines]
     schedules = plan_fleet(

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional, Union
 
 from ..core.builder import Cluster, build_cluster
-from ..runner import RunSpec, default_runner
+from ..runner import RunSpec, default_engine, default_runner
 from ..runner.execute import build_meta
 from ..vm.machine import CompletionReport
 from ..workloads.base import Workload
@@ -65,7 +65,7 @@ def run_policy(
 
     kwargs = dict(PAPER_CONFIGS[policy])
     kwargs.update(overrides)
-    cluster = build_cluster(**kwargs)
+    cluster = build_cluster(**kwargs, engine=default_engine())
     if cluster_hook is not None:
         cluster_hook(cluster)
     if isinstance(workload_factory, str):

@@ -17,6 +17,7 @@ from typing import Dict
 from ..analysis.report import format_table
 from ..config import SwitchedNetworkSpec
 from ..core.builder import build_cluster
+from ..runner import default_engine
 from ..units import megabits_per_second
 from ..workloads import Gauss
 
@@ -28,6 +29,7 @@ def _build(fast_mbps: float, slow_mbps: float, ranked: bool):
         policy="no-reliability",
         n_servers=4,
         switched_spec=SwitchedNetworkSpec(bandwidth=megabits_per_second(fast_mbps)),
+        engine=default_engine(),
     )
     network = cluster.network
     slow = megabits_per_second(slow_mbps)

@@ -14,13 +14,16 @@ from ..analysis.paper_data import LATENCY_MS
 from ..analysis.report import format_table
 from ..config import PAGE_SIZE
 from ..core.builder import build_cluster
+from ..runner import default_engine
 
 __all__ = ["run_latency", "render_latency"]
 
 
 def run_latency(n_transfers: int = 200) -> Dict[str, float]:
     """Average pagein latency over ``n_transfers`` round trips."""
-    cluster = build_cluster(policy="no-reliability", n_servers=1)
+    cluster = build_cluster(
+        policy="no-reliability", n_servers=1, engine=default_engine()
+    )
     pager = cluster.pager
     sim = cluster.sim
 

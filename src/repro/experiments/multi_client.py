@@ -23,6 +23,7 @@ from typing import Dict, List, Optional
 
 from ..analysis.report import format_table
 from ..config import SwitchedNetworkSpec
+from ..runner import default_engine
 from ..vm.machine import Machine
 from ..workloads import Gauss, Qsort
 from .fleet import build_fleet
@@ -53,6 +54,7 @@ def build_multi_client(
         network=network,
         switched_spec=switched_spec,
         stagger=0.0,
+        engine=default_engine(),
     )
     machines: List[Machine] = fleet.machines
     return fleet.sim, machines, fleet.network

@@ -16,6 +16,7 @@ from ..analysis.report import format_table
 from ..cluster.workstation import Workstation
 from ..core.builder import build_cluster
 from ..core.remote_disk import RemoteDiskPager, RemoteDiskServer
+from ..runner import default_engine
 from ..vm.machine import Machine
 from ..workloads import Gauss, SequentialScan, UniformRandom
 
@@ -24,7 +25,8 @@ __all__ = ["run_remote_disk", "render_remote_disk"]
 
 def _remote_disk_cluster(n_servers: int = 2):
     """A cluster whose pager targets the servers' disks, not their DRAM."""
-    base = build_cluster(policy="disk")  # reuse sim/network/client assembly
+    # Reuse the sim/network/client assembly.
+    base = build_cluster(policy="disk", engine=default_engine())
     sim, stack = base.sim, base.stack
     servers = []
     for i in range(n_servers):
@@ -52,7 +54,9 @@ def run_remote_disk() -> Dict[str, Dict[str, float]]:
     """Remote memory vs remote disk across three access patterns."""
     results: Dict[str, Dict[str, float]] = {}
     for pattern, factory in _PATTERNS.items():
-        memory_cluster = build_cluster(policy="no-reliability", n_servers=2)
+        memory_cluster = build_cluster(
+            policy="no-reliability", n_servers=2, engine=default_engine()
+        )
         memory_report = memory_cluster.run(factory())
         sim, machine = _remote_disk_cluster(n_servers=2)
         disk_report = sim.run_until_complete(

@@ -34,7 +34,7 @@ from ..analysis.report import format_table
 from ..config import MachineSpec
 from ..errors import ReproError
 from ..faults import ChaosController, FaultPlan, check_page_integrity
-from ..runner import RunSpec, default_runner
+from ..runner import RunSpec, default_engine, default_runner
 from ..runner.registry import EXTRACTORS
 
 __all__ = [
@@ -154,7 +154,7 @@ def _run_inline(
     workload_name, workload_kwargs = _WORKLOAD
     from ..runner.registry import make_workload
 
-    cluster = build_cluster(policy=policy, **build)
+    cluster = build_cluster(policy=policy, **build, engine=default_engine())
     controller = ChaosController(cluster, plan) if plan is not None else None
     report = None
     error: Optional[str] = None

@@ -36,13 +36,13 @@ state at that instant (idle-in-gap / contending / transmitting) is
 reconstructed from the precomputed boundaries and both senders continue
 under the ordinary CSMA/CD machinery, collisions and all.  Results are
 byte-identical to frame-level execution; ``--no-analytic-ethernet``
-(or ``REPRO_NO_ANALYTIC_ETH=1``) forces the frame-level walk for A/B
-checks, and chaos wrappers disable the fast path outright.
+(``EngineConfig.analytic_ethernet``, or ``analytic=False``) forces the
+frame-level walk for A/B checks, and chaos wrappers disable the fast
+path outright.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from typing import Dict, List, Optional
 
@@ -133,9 +133,6 @@ class _FastHold:
         self.active = True
 
 
-def _analytic_default() -> bool:
-    return not os.environ.get("REPRO_NO_ANALYTIC_ETH")
-
 
 class EthernetCsmaCd(Network):
     """Single shared segment with CSMA/CD arbitration.
@@ -152,12 +149,12 @@ class EthernetCsmaCd(Network):
         sim: Simulator,
         spec: Optional[EthernetSpec] = None,
         rngs: Optional[RngRegistry] = None,
-        analytic: Optional[bool] = None,
+        analytic: bool = True,
     ):
         super().__init__(sim)
         self.spec = spec or EthernetSpec()
         self.rngs = rngs or RngRegistry(seed=0)
-        self.analytic = _analytic_default() if analytic is None else bool(analytic)
+        self.analytic = bool(analytic)
         self._state = _IDLE
         self._contenders: List[tuple] = []  # (station, frame_time, event)
         self._idle_waiters: List[Event] = []

@@ -61,8 +61,8 @@ class TraceSummary:
         #: Fault-ish events (see _FAULT_COMPONENTS), in timestamp order.
         self.fault_events: List[Dict[str, Any]] = []
         #: ``compile.*`` planner events (bypass/compiled/cache-hit/
-        #: fallback/vectorized), in order — which fast path served each
-        #: run, and why the faster tiers were skipped when they were.
+        #: fleet-shared), in order — which fast path served each run,
+        #: and why compiled replay was skipped when it was.
         self.compile_events: List[Dict[str, Any]] = []
         #: ``health.*`` saturation transitions (warn/critical/clear)
         #: from the telemetry health monitor, in timestamp order.
@@ -193,9 +193,9 @@ def render_summary(summary: TraceSummary, top: int = 10) -> str:
     if summary.compile_events:
         lines.append("")
         lines.append("compile fast path:")
-        # One line per decision kind; fallbacks and bypasses break down
-        # by reason so a sweep that silently lost its capsule replays is
-        # visible at a glance.
+        # One line per decision kind; bypasses break down by reason so
+        # a sweep that silently lost its compiled replays is visible at
+        # a glance.
         by_kind: Dict[str, int] = {}
         reasons: Dict[str, Dict[str, int]] = {}
         for event in summary.compile_events:

@@ -14,7 +14,12 @@ from .registry import (
     register_hook,
     register_workload,
 )
-from .runner import ExperimentRunner, configure_default_runner, default_runner
+from .runner import (
+    ExperimentRunner,
+    configure_default_runner,
+    default_engine,
+    default_runner,
+)
 from .spec import RunResult, RunSpec
 
 __all__ = [
@@ -26,6 +31,7 @@ __all__ = [
     "fingerprint",
     "default_cache_dir",
     "default_runner",
+    "default_engine",
     "configure_default_runner",
     "register_workload",
     "register_hook",

@@ -1,13 +1,14 @@
 """Content-addressed on-disk cache of completed experiment runs.
 
 Each result is stored as one JSON file named by the SHA-256 of the
-run's *fingerprint*: the spec's canonical identity, the package
-version, the effective codec backend, and a digest of the
-result-determining source trees (the simulation kernel, VM, network,
-disk, cluster, policies, workloads and configuration).  Editing any of
-those invalidates every entry automatically; editing experiment drivers, analysis, rendering or the
-CLI does not — re-running ``repro fig2`` after an unrelated change
-skips already-computed cells.
+run's *fingerprint*: the spec's canonical identity (engine included),
+the package version, the effective codec backend, and a digest of the
+package sources.  The digest covers every module a run imports — the
+worker entry point pulls in the experiment drivers, the registry, the
+pipeline, the compiler and the observability layer, and any of them can
+shape a cached report — so editing any of them invalidates every entry
+automatically.  Only the modules a run never imports (the CLI and the
+trace-summary renderer) are left out.
 
 The store is human-inspectable: every file carries the spec it caches
 in ``describe()`` form next to the report fields.  Invalidate manually
@@ -30,7 +31,6 @@ from .spec import RunSpec
 __all__ = [
     "ResultCache",
     "ScheduleCache",
-    "EffectCache",
     "default_cache_dir",
     "fingerprint",
 ]
@@ -38,22 +38,11 @@ __all__ = [
 #: Bump when the on-disk entry layout changes.
 _FORMAT = 1
 
-#: Subpackages (and modules) whose source determines simulation results.
-#: experiments/, analysis/, cli.py and the runner itself are deliberately
-#: excluded: they orchestrate and render but do not change a cell's report.
-_RESULT_SOURCES = (
-    "sim",
-    "vm",
-    "net",
-    "disk",
-    "core",
-    "cluster",
-    "faults",
-    "workloads",
-    "config.py",
-    "units.py",
-    "errors.py",
-)
+#: Package modules left out of the source digest: entry points and
+#: renderers that :func:`~repro.runner.execute.execute_spec` never
+#: imports.  Every other module is in (``tests/runner`` checks that the
+#: worker's whole import closure is covered).
+_NON_RESULT_SOURCES = frozenset({"__main__.py", "cli.py", "obs/summary.py"})
 
 _code_digest: Optional[str] = None
 
@@ -66,11 +55,10 @@ def _source_digest() -> str:
 
         root = Path(repro.__file__).parent
         digest = hashlib.sha256()
-        for entry in _RESULT_SOURCES:
-            path = root / entry
-            files = sorted(path.rglob("*.py")) if path.is_dir() else [path]
-            for file in files:
-                digest.update(str(file.relative_to(root)).encode())
+        for file in sorted(root.rglob("*.py")):
+            name = file.relative_to(root).as_posix()
+            if name not in _NON_RESULT_SOURCES:
+                digest.update(name.encode())
                 digest.update(file.read_bytes())
         _code_digest = digest.hexdigest()
     return _code_digest
@@ -83,8 +71,8 @@ def _runtime_token() -> str:
     the *effective* backend means an engine regression can never poison
     cells computed by the other engine — and A/B benchmark legs that
     flip ``REPRO_NO_NUMPY_GF`` honestly recompute both sides.  Network
-    model and client count need no entry here: they travel inside
-    ``spec.overrides`` and are already part of ``spec.identity()``.
+    model, client count and the engine need no entry here: they travel
+    inside the spec and are already part of ``spec.identity()``.
     """
     from ..core.policies.gf256 import codec_backend
 
@@ -287,84 +275,6 @@ class ScheduleCache:
 
     def clear(self) -> int:
         """Delete every cached schedule; returns the number removed."""
-        removed = 0
-        if self.dir.is_dir():
-            for file in self.dir.glob("*.json"):
-                file.unlink(missing_ok=True)
-                removed += 1
-        return removed
-
-
-class EffectCache:
-    """Content-addressed store of recorded run-effect capsules.
-
-    Keys combine the schedule key with the live cluster fingerprint
-    (see ``repro.compile.effects.effects_key``), the capsule and
-    schedule format versions, the package version, and the same source
-    digest the other caches use — editing any result-determining source
-    invalidates every capsule.  Lives under ``<cache>/effects/`` and
-    follows the same write-then-rename, fail-to-miss discipline.
-    """
-
-    def __init__(self, cache_dir: Optional[os.PathLike] = None):
-        base = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-        self.dir = base / "effects"
-        self.hits = 0
-        self.misses = 0
-
-    def _path(self, key: Dict[str, Any]) -> Path:
-        from ..compile.effects import EFFECTS_FORMAT
-        from ..compile.schedule import SCHEDULE_FORMAT
-
-        import repro
-
-        payload = json.dumps(
-            {
-                "format": EFFECTS_FORMAT,
-                "schedule_format": SCHEDULE_FORMAT,
-                "version": repro.__version__,
-                "sources": _source_digest(),
-                "key": key,
-            },
-            sort_keys=True,
-        )
-        return self.dir / f"{hashlib.sha256(payload.encode()).hexdigest()}.json"
-
-    def get(self, key: Dict[str, Any]):
-        """Load a cached capsule, or None on miss/corruption."""
-        from ..compile.effects import RunEffects
-
-        try:
-            with open(self._path(key), "r", encoding="utf-8") as handle:
-                effects = RunEffects.from_json_dict(json.load(handle))
-        except (OSError, ValueError, TypeError, KeyError):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return effects
-
-    def put(self, key: Dict[str, Any], effects) -> bool:
-        """Store one capsule; returns False on any failure."""
-        try:
-            payload = json.dumps(effects.to_json_dict())
-        except (TypeError, ValueError):
-            return False
-        path = self._path(key)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        try:
-            self.dir.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(payload, encoding="utf-8")
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:
-                pass
-            return False
-        return True
-
-    def clear(self) -> int:
-        """Delete every cached capsule; returns the number removed."""
         removed = 0
         if self.dir.is_dir():
             for file in self.dir.glob("*.json"):

@@ -40,8 +40,8 @@ def resolve_build_kwargs(spec: RunSpec) -> Dict[str, Any]:
     """Resolve a spec into :func:`build_cluster` keyword arguments.
 
     Starts from the paper configuration for the spec's policy (when one
-    exists), layers the overrides, and resolves registry-name stand-ins
-    (a string ``replacement``) into objects.
+    exists), layers the overrides, resolves registry-name stand-ins
+    (a string ``replacement``) into objects, and adds the spec's engine.
     """
     from ..experiments.harness import PAPER_CONFIGS
 
@@ -54,6 +54,7 @@ def resolve_build_kwargs(spec: RunSpec) -> Dict[str, Any]:
         overrides["replacement"] = make_replacement(replacement)
     kwargs.update(overrides)
     kwargs.setdefault("seed", spec.seed)
+    kwargs["engine"] = spec.engine
     return kwargs
 
 

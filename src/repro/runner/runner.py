@@ -23,16 +23,19 @@ matrices (hundreds of cells across many ``run()`` calls):
   ``stat`` miss per cold cell.
 
 The module also owns the process-wide default runner the CLI
-configures (``--jobs`` / ``--no-cache`` / ``--cache-dir``); library
-callers that pass no explicit runner get a serial, uncached one.
+configures (``--jobs`` / ``--no-cache`` / ``--cache-dir`` and the
+engine flags); library callers that pass no explicit runner get a
+serial, uncached one on the default engine.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Sequence
 
+from ..config import EngineConfig
 from ..log import get_logger
 from ..vm.machine import CompletionReport
 from .cache import ResultCache
@@ -44,6 +47,7 @@ log = get_logger(__name__)
 __all__ = [
     "ExperimentRunner",
     "configure_default_runner",
+    "default_engine",
     "default_runner",
 ]
 
@@ -63,6 +67,10 @@ class ExperimentRunner:
     cache_dir:
         Cache location; defaults to ``$REPRO_CACHE_DIR`` or the XDG
         cache home (``~/.cache/repro``).
+    engine:
+        When set, stamped onto every spec this runner runs (as
+        ``RunSpec.engine``), so it reaches worker processes and keys the
+        result cache; None runs each spec on its own engine.
     """
 
     def __init__(
@@ -70,6 +78,7 @@ class ExperimentRunner:
         jobs: Optional[int] = 1,
         use_cache: bool = False,
         cache_dir=None,
+        engine: Optional[EngineConfig] = None,
     ):
         if jobs is None or jobs == 0:
             jobs = os.cpu_count() or 1
@@ -79,6 +88,7 @@ class ExperimentRunner:
         self.cache: Optional[ResultCache] = (
             ResultCache(cache_dir) if use_cache else None
         )
+        self.engine = engine
         self._pool: Optional[ProcessPoolExecutor] = None
 
     # ------------------------------------------------------------------ pool
@@ -131,6 +141,8 @@ class ExperimentRunner:
     def run(self, specs: Sequence[RunSpec]) -> List[RunResult]:
         """Run every spec; results ordered by spec, not by completion."""
         specs = list(specs)
+        if self.engine is not None:
+            specs = [replace(spec, engine=self.engine) for spec in specs]
         results: List[Optional[RunResult]] = [None] * len(specs)
 
         if self.cache is not None:
@@ -230,10 +242,13 @@ def configure_default_runner(
     jobs: Optional[int] = 1,
     use_cache: bool = False,
     cache_dir=None,
+    engine: Optional[EngineConfig] = None,
 ) -> ExperimentRunner:
     """Install the runner that experiment modules use by default."""
     global _default
-    _default = ExperimentRunner(jobs=jobs, use_cache=use_cache, cache_dir=cache_dir)
+    _default = ExperimentRunner(
+        jobs=jobs, use_cache=use_cache, cache_dir=cache_dir, engine=engine
+    )
     return _default
 
 
@@ -242,3 +257,12 @@ def default_runner() -> ExperimentRunner:
     if _default is not None:
         return _default
     return ExperimentRunner()
+
+
+def default_engine() -> EngineConfig:
+    """The engine of the configured default runner (the CLI's engine
+    flags), for experiments that assemble a testbed inline instead of
+    shipping a :class:`RunSpec`."""
+    if _default is not None and _default.engine is not None:
+        return _default.engine
+    return EngineConfig()

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
+from ..config import EngineConfig
 from ..vm.machine import CompletionReport
 
 __all__ = ["RunSpec", "RunResult"]
@@ -45,6 +46,11 @@ class RunSpec:
       between assembly and the workload run.
     * ``extract`` — registered extractors producing the run's ``extras``
       dict from the finished cluster (network stats, server CPU, …).
+    * ``engine`` — the host-side fast paths the run may take.  Results
+      are byte-identical on every engine, but the engine is part of the
+      cell's identity, so an A/B run never reads the other side's
+      cached result.  A runner configured with an engine stamps it onto
+      every spec it runs.
 
     ``label`` is display-only and never contributes to the cache
     fingerprint.
@@ -59,6 +65,7 @@ class RunSpec:
     hook: Optional[str] = None
     hook_kwargs: Tuple[Tuple[str, Any], ...] = ()
     extract: Tuple[str, ...] = ()
+    engine: EngineConfig = EngineConfig()
     label: Optional[str] = field(default=None, compare=False)
 
     @classmethod
@@ -74,6 +81,7 @@ class RunSpec:
         hook: Optional[str] = None,
         hook_kwargs: Optional[Mapping[str, Any]] = None,
         extract: Tuple[str, ...] = (),
+        engine: EngineConfig = EngineConfig(),
         label: Optional[str] = None,
     ) -> "RunSpec":
         """Build a spec from plain dicts (sorted into canonical tuples)."""
@@ -87,6 +95,7 @@ class RunSpec:
             hook=hook,
             hook_kwargs=_freeze(hook_kwargs),
             extract=tuple(extract),
+            engine=engine,
             label=label,
         )
 
@@ -107,6 +116,7 @@ class RunSpec:
                 self.hook,
                 self.hook_kwargs,
                 self.extract,
+                self.engine,
             )
         )
 
@@ -122,6 +132,7 @@ class RunSpec:
             "hook": self.hook,
             "hook_kwargs": dict(self.hook_kwargs),
             "extract": list(self.extract),
+            "engine": repr(self.engine),
         }
 
 

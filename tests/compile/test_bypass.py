@@ -7,8 +7,8 @@ interpretively, announced by a ``compile.bypass`` trace event.
 
 import pytest
 
-from repro.compile import plan_replay, set_compile_enabled
-from repro.config import MachineSpec
+from repro.compile import plan_run
+from repro.config import EngineConfig, MachineSpec
 from repro.core.builder import build_cluster
 from repro.obs.trace import Tracer, install_tracer, uninstall_tracer
 from repro.workloads import SequentialScan
@@ -21,9 +21,9 @@ _SMALL = MachineSpec(
 )
 
 
-@pytest.fixture(autouse=True)
-def _no_schedule_cache(monkeypatch):
-    monkeypatch.setenv("REPRO_SCHEDULE_CACHE", "0")
+#: Every run compiles afresh, so each test sees ``compiled``, never
+#: a ``cache-hit`` left by an earlier run.
+_UNCACHED = EngineConfig(schedule_cache=False)
 
 
 @pytest.fixture()
@@ -46,9 +46,10 @@ def _workload():
     return SequentialScan(n_pages=300, passes=2, write=True)
 
 
-def _cluster(**overrides):
+def _cluster(engine=_UNCACHED, **overrides):
     return build_cluster(
-        policy="no-reliability", n_servers=2, seed=1, machine_spec=_SMALL, **overrides
+        policy="no-reliability", n_servers=2, seed=1, machine_spec=_SMALL,
+        engine=engine, **overrides,
     )
 
 
@@ -92,23 +93,19 @@ def test_nondeterministic_workload_bypasses(tracer):
 
 
 def test_cluster_override_and_process_default(tracer):
-    cluster = _cluster(compile_schedules=False)
+    cluster = _cluster(engine=EngineConfig(compile=False, schedule_cache=False))
     cluster.run(_workload())
     assert ("bypass", {"reason": "disabled"}) in _compile_events(tracer)
-
-    set_compile_enabled(False)
-    try:
-        assert plan_replay(_cluster(), _workload()) is None
-        # The per-machine override outranks the process default.
-        forced = _cluster(compile_schedules=True)
-        assert plan_replay(forced, _workload()) is not None
-    finally:
-        set_compile_enabled(None)
+    # The default engine compiles; nothing outside the cluster's own
+    # engine (no environment, no process-wide setting) can change that.
+    assert plan_run(build_cluster(machine_spec=_SMALL), _workload()) is not None
 
 
-def test_no_compile_env_disables(tracer, monkeypatch):
+def test_no_compile_engine_disables(tracer, monkeypatch):
+    # The retired environment switch is inert: only EngineConfig decides.
     monkeypatch.setenv("REPRO_NO_COMPILE", "1")
-    assert plan_replay(_cluster(), _workload()) is None
+    assert plan_run(_cluster(), _workload()) is not None
+    assert plan_run(_cluster(EngineConfig(compile=False)), _workload()) is None
 
 
 def test_custom_policy_without_batch_api_bypasses(tracer):

@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from repro.config import MachineSpec
+from repro.config import EngineConfig, MachineSpec
 from repro.core.builder import build_cluster
 from repro.faults import FaultPlan
 from repro.runner import ExperimentRunner, RunSpec
@@ -42,9 +42,8 @@ _APPS = {
 _POLICIES = ("disk", "no-reliability", "mirroring", "parity-logging", "write-through")
 
 
-@pytest.fixture(autouse=True)
-def _no_schedule_cache(monkeypatch):
-    monkeypatch.setenv("REPRO_SCHEDULE_CACHE", "0")
+def _engine(compile_on):
+    return EngineConfig(compile=compile_on, schedule_cache=False)
 
 
 def _run(policy, workload_factory, replacement="lru", compile_on=True, **overrides):
@@ -55,7 +54,7 @@ def _run(policy, workload_factory, replacement="lru", compile_on=True, **overrid
         machine_spec=_SMALL,
         content_mode=True,
         replacement=make_replacement(replacement),
-        compile_schedules=compile_on,
+        engine=_engine(compile_on),
         **overrides,
     )
     report = cluster.run(workload_factory())
@@ -130,7 +129,7 @@ def test_chaos_campaign_clean_and_identical():
                     n_servers=4,
                     server_capacity_pages=600,
                 ),
-                machine_attrs={"compile_schedules": compile_on},
+                engine=_engine(compile_on),
                 hook="chaos",
                 hook_kwargs=plan.as_kwargs(),
                 extract=("resilience",),
@@ -140,7 +139,7 @@ def test_chaos_campaign_clean_and_identical():
         ]
         results = ExperimentRunner(jobs=1, use_cache=False).run(specs)
         # report.meta carries provenance + the metrics snapshot but not
-        # machine_attrs, so the two arms must serialise byte-identically.
+        # the engine, so the two arms must serialise byte-identically.
         return [
             json.dumps(
                 {

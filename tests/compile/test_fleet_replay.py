@@ -14,7 +14,7 @@ import dataclasses
 import pytest
 
 from repro.compile import fleet_bypass_reason, plan_fleet
-from repro.config import MachineSpec
+from repro.config import EngineConfig, MachineSpec
 from repro.experiments.fleet import build_fleet, run_fleet
 from repro.obs.trace import Tracer, install_tracer, uninstall_tracer
 from repro.runner.registry import make_workload
@@ -29,9 +29,8 @@ _SMALL = MachineSpec(
 _WORKLOAD = ("sequential-scan", {"n_pages": 400, "passes": 3, "write": True})
 
 
-@pytest.fixture(autouse=True)
-def _no_schedule_cache(monkeypatch):
-    monkeypatch.setenv("REPRO_SCHEDULE_CACHE", "0")
+#: Compile afresh every run: planner events never depend on cache hits.
+_UNCACHED = EngineConfig(schedule_cache=False)
 
 
 @pytest.fixture()
@@ -56,7 +55,7 @@ def _run(compile_schedules, n_clients=3, **kwargs):
         n_clients=n_clients,
         n_donors=2,
         machine_spec=_SMALL,
-        compile_schedules=compile_schedules,
+        engine=EngineConfig(compile=compile_schedules, schedule_cache=False),
         **kwargs,
     )
     return results
@@ -103,7 +102,7 @@ def test_fleet_compiled_matches_on_ethernet_fabric_bypass(tracer):
 
 
 def test_identical_clients_share_one_compiled_schedule(tracer):
-    fleet = build_fleet(n_clients=3, n_donors=2, machine_spec=_SMALL)
+    fleet = build_fleet(n_clients=3, n_donors=2, machine_spec=_SMALL, engine=_UNCACHED)
     clients = [
         (machine, pager, make_workload(_WORKLOAD[0], dict(_WORKLOAD[1])))
         for machine, pager in zip(fleet.machines, fleet.pagers)
@@ -119,7 +118,7 @@ def test_identical_clients_share_one_compiled_schedule(tracer):
 
 
 def test_cross_client_server_sharing_bypasses(tracer):
-    fleet = build_fleet(n_clients=2, n_donors=2, machine_spec=_SMALL)
+    fleet = build_fleet(n_clients=2, n_donors=2, machine_spec=_SMALL, engine=_UNCACHED)
     # Violate §6 on purpose: point client 1 at client 0's servers.
     fleet.pagers[1].policy.servers = fleet.pagers[0].policy.servers
     clients = [
@@ -139,7 +138,7 @@ def test_telemetry_pins_fleet_interpreted():
     (reason=telemetry), and the scoreboard still matches the compiled
     run on every derived metric."""
     fast, fast_reports = _fleet_reports(True)
-    slow, slow_reports = _fleet_reports(None, telemetry_interval=1.0)
+    slow, slow_reports = _fleet_reports(True, telemetry_interval=1.0)
     assert slow["compiled_clients"] == 0
     assert "pagein_latency" in slow and slow["pagein_latency"]["count"] > 0
     assert fast_reports == slow_reports

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.compile import FaultSchedule, compile_trace
-from repro.config import MachineSpec
+from repro.config import EngineConfig, MachineSpec
 from repro.core.builder import build_cluster
 from repro.obs.trace import Tracer, install_tracer, uninstall_tracer
 from repro.runner.cache import ScheduleCache
@@ -23,7 +23,6 @@ _SMALL = MachineSpec(
 @pytest.fixture(autouse=True)
 def _isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.delenv("REPRO_SCHEDULE_CACHE", raising=False)
 
 
 def _compile_small():
@@ -101,14 +100,26 @@ def test_second_run_hits_cache_and_is_identical():
         for r in tracer.events
         if r["component"] == "compile"
     ]
-    # The effect-capsule tier is opt-in (REPRO_EFFECT_CACHE=1), so each
-    # run also reports its fallback to per-fault kernel replay.
-    assert compile_events == [
-        ("compiled", None),
-        ("fallback", "effects-disabled"),
-        ("cache-hit", None),
-        ("fallback", "effects-disabled"),
+    assert compile_events == [("compiled", None), ("cache-hit", None)]
+
+
+def test_engine_without_schedule_cache_compiles_every_run():
+    tracer = Tracer()
+    install_tracer(tracer)
+    try:
+        for _ in range(2):
+            build_cluster(
+                policy="no-reliability", n_servers=2, seed=5, machine_spec=_SMALL,
+                engine=EngineConfig(schedule_cache=False),
+            ).run(Gauss(n=300, passes=2))
+    finally:
+        uninstall_tracer()
+    events = [
+        (r["event"], (r.get("attrs") or {}).get("cached"))
+        for r in tracer.events
+        if r["component"] == "compile"
     ]
+    assert events == [("compiled", False), ("compiled", False)]
 
 
 def test_recorded_workload_compiles_uncached(tmp_path):
@@ -129,7 +140,7 @@ def test_recorded_workload_compiles_uncached(tmp_path):
         compiled = dataclasses.asdict(cluster.run(workload))
         cluster = build_cluster(
             policy="no-reliability", n_servers=2, seed=5, machine_spec=_SMALL,
-            compile_schedules=False,
+            engine=EngineConfig(compile=False),
         )
         interpreted = dataclasses.asdict(cluster.run(workload))
     finally:

@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.compile import SCHEDULE_FORMAT, FaultSchedule, compile_trace
-from repro.config import MachineSpec
+from repro.config import EngineConfig, MachineSpec
 from repro.core.builder import build_cluster
 from repro.vm.replacement import LruReplacement, make_replacement
 from repro.workloads import Gauss, HotCold
@@ -119,7 +119,7 @@ def _report(policy, replacement, workload, compile_on):
         seed=7,
         machine_spec=_SMALL,
         replacement=make_replacement(replacement),
-        compile_schedules=compile_on,
+        engine=EngineConfig(compile=compile_on, schedule_cache=False),
     )
     report = cluster.run(workload)
     return dataclasses.asdict(report), cluster.metrics.snapshot()
@@ -143,7 +143,6 @@ def test_vectorized_replay_equals_event_kernel(
     hot_fraction, seed,
 ):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_SCHEDULE_CACHE", "0")
 
     def workload():
         return HotCold(

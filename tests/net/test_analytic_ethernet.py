@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import PAGE_SIZE, EthernetSpec
+from repro.config import PAGE_SIZE, EngineConfig, EthernetSpec
 from repro.net import EthernetCsmaCd
 from repro.sim import RngRegistry, Simulator
 
@@ -208,11 +208,15 @@ def test_back_to_back_holds_after_contention():
 
 # ------------------------------------------------------------------ gating
 
-def test_env_var_disables_fast_path(monkeypatch):
+def test_engine_config_disables_fast_path(monkeypatch):
+    from repro.core.builder import build_cluster
+
+    # The retired environment switch is inert: only the engine decides.
     monkeypatch.setenv("REPRO_NO_ANALYTIC_ETH", "1")
-    assert EthernetCsmaCd(Simulator()).analytic is False
-    monkeypatch.delenv("REPRO_NO_ANALYTIC_ETH")
     assert EthernetCsmaCd(Simulator()).analytic is True
+    assert build_cluster().network.analytic is True
+    off = EngineConfig(analytic_ethernet=False)
+    assert build_cluster(engine=off).network.analytic is False
 
 
 def test_chaos_wrapper_pins_frame_level():
@@ -253,7 +257,7 @@ def test_cluster_ab_byte_identical(tmp_path, monkeypatch):
     def run(analytic):
         cluster = build_cluster(
             policy="mirroring", n_servers=2, seed=7, machine_spec=spec,
-            analytic_ethernet=analytic,
+            engine=EngineConfig(analytic_ethernet=analytic),
         )
         report = cluster.run(Gauss(n=400, passes=2))
         return dataclasses.asdict(report), cluster.metrics.snapshot()

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import PAGE_SIZE, SwitchedNetworkSpec, fast_network
+from repro.config import PAGE_SIZE, EngineConfig, SwitchedNetworkSpec, fast_network
 from repro.net import SwitchedNetwork
 from repro.sim import Simulator
 
@@ -337,11 +337,17 @@ def test_partition_window_identical():
 
 # ------------------------------------------------------------------ gating
 
-def test_env_var_disables_fast_path(monkeypatch):
+def test_engine_config_disables_fast_path(monkeypatch):
+    from repro.core.builder import build_cluster
+
+    # The retired environment switch is inert: only the engine decides.
     monkeypatch.setenv("REPRO_NO_ANALYTIC_SWITCHED", "1")
-    assert SwitchedNetwork(Simulator()).analytic is False
-    monkeypatch.delenv("REPRO_NO_ANALYTIC_SWITCHED")
     assert SwitchedNetwork(Simulator()).analytic is True
+    switched = SwitchedNetworkSpec()
+    assert build_cluster(switched_spec=switched).network.analytic is True
+    off = EngineConfig(analytic_switched=False)
+    built = build_cluster(switched_spec=switched, engine=off)
+    assert built.network.analytic is False
 
 
 def test_chaos_wrapper_pins_per_event():
@@ -401,7 +407,7 @@ def test_cluster_ab_byte_identical(tmp_path, monkeypatch):
         cluster = build_cluster(
             policy="mirroring", n_servers=2, seed=7, machine_spec=spec,
             switched_spec=SwitchedNetworkSpec(),
-            analytic_switched=analytic,
+            engine=EngineConfig(analytic_switched=analytic),
         )
         report = cluster.run(Gauss(n=400, passes=2))
         return dataclasses.asdict(report), cluster.metrics.snapshot()

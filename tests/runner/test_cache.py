@@ -3,7 +3,10 @@
 import dataclasses
 import json
 
-from repro.runner import ResultCache, RunSpec, fingerprint
+import pytest
+
+from repro.config import EngineConfig
+from repro.runner import ExperimentRunner, ResultCache, RunSpec, fingerprint
 from repro.runner.execute import execute_spec
 
 SPEC = RunSpec.make("gauss", "disk", workload_kwargs={"n": 700})
@@ -77,3 +80,86 @@ def test_entries_are_human_inspectable(tmp_path):
     assert payload["spec"]["workload"] == "gauss"
     assert payload["spec"]["policy"] == "disk"
     assert payload["report"]["etime"] == result.report.etime
+
+
+# ------------------------------------------------------------ engine keying
+#: A small campaign that compiles and pages over the shared Ethernet, so
+#: both the compile and the analytic-Ethernet axes are live in it.
+CAMPAIGN = [
+    RunSpec.make("gauss", policy, workload_kwargs={"n": 700})
+    for policy in ("no-reliability", "mirroring")
+]
+
+
+@pytest.mark.parametrize(
+    "engine",
+    [EngineConfig(compile=False), EngineConfig(analytic_ethernet=False)],
+    ids=["no-compile", "no-analytic-ethernet"],
+)
+def test_engine_keys_the_cache(tmp_path, engine):
+    """An A/B leg on another engine must recompute, never be served the
+    default engine's cached cells — and must reproduce them exactly."""
+    cold = ExperimentRunner(use_cache=True, cache_dir=tmp_path).run(CAMPAIGN)
+
+    other = ExperimentRunner(use_cache=True, cache_dir=tmp_path, engine=engine)
+    results = other.run(CAMPAIGN)
+    assert (other.cache.hits, other.cache.misses) == (0, len(CAMPAIGN))
+    assert not any(r.cached for r in results)
+    assert all(r.spec.engine == engine for r in results)
+    assert [json.dumps(dataclasses.asdict(r.report), sort_keys=True) for r in results] == [
+        json.dumps(dataclasses.asdict(r.report), sort_keys=True) for r in cold
+    ]
+
+    # Each engine then owns its slots: a rerun of either leg hits.
+    again = ExperimentRunner(use_cache=True, cache_dir=tmp_path, engine=engine)
+    assert all(r.cached for r in again.run(CAMPAIGN))
+    assert len(list(tmp_path.glob("*.json"))) == 2 * len(CAMPAIGN)
+
+
+# ------------------------------------------------------ source digest
+_CLOSURE_PROBE = """
+import json, pathlib, sys
+from repro.runner import RunSpec, cache
+from repro.runner.execute import execute_spec
+
+spec = RunSpec.make(
+    "gauss", "parity-logging", workload_kwargs={"n": 300},
+    overrides={"pipeline_window": 2, "n_servers": 2},
+    hook="chaos", hook_kwargs={"events": (("crash", 0.5, 0),)},
+    extract=("resilience",),
+)
+execute_spec(spec)
+imported = sorted(
+    module.__file__ for name, module in list(sys.modules.items())
+    if (name == "repro" or name.startswith("repro.")) and getattr(module, "__file__", None)
+)
+
+digested = []
+read_bytes = pathlib.Path.read_bytes
+def logging_read_bytes(path):
+    digested.append(str(path))
+    return read_bytes(path)
+pathlib.Path.read_bytes = logging_read_bytes
+cache._code_digest = None
+cache._source_digest()
+print(json.dumps({"imported": imported, "digested": digested}))
+"""
+
+
+def test_source_digest_covers_the_worker_import_closure():
+    """Every module a worker imports to run a spec can shape its cached
+    result, so every one must be in the fingerprint's source digest."""
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    completed = subprocess.run(
+        [sys.executable, "-c", _CLOSURE_PROBE],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    probe = json.loads(completed.stdout.strip().splitlines()[-1])
+    digested = {os.path.realpath(path) for path in probe["digested"]}
+    imported = {os.path.realpath(path) for path in probe["imported"]}
+    assert len(imported) > 50
+    assert sorted(imported - digested) == []

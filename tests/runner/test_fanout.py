@@ -12,7 +12,7 @@ import dataclasses
 
 import pytest
 
-from repro.config import SwitchedNetworkSpec
+from repro.config import EngineConfig, SwitchedNetworkSpec
 from repro.runner import ExperimentRunner, ResultCache, RunSpec, fingerprint
 from repro.runner.execute import execute_spec
 from repro.runner.runner import ExperimentRunner as _Runner
@@ -113,10 +113,8 @@ def test_network_model_and_client_count_key_disjointly():
         RunSpec.make(
             "gauss",
             "disk",
-            overrides={
-                "switched_spec": SwitchedNetworkSpec(),
-                "analytic_switched": False,
-            },
+            overrides={"switched_spec": SwitchedNetworkSpec()},
+            engine=EngineConfig(analytic_switched=False),
         ),
         RunSpec.make("gauss", "disk", overrides={"n_servers": 4}),
         RunSpec.make("gauss", "disk", overrides={"n_clients": 8}),

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.config import EngineConfig
 from repro.runner import ExperimentRunner, RunSpec
 
 #: A fast 2x2 matrix: small enough to run in seconds, big enough to page.
@@ -57,7 +58,11 @@ def test_cache_hit_equals_cold_run(tmp_path):
 
 
 def test_no_cache_runner_never_touches_disk(tmp_path):
-    runner = ExperimentRunner(use_cache=False)
+    # The CLI's --no-cache: no result cache, and no schedule cache either
+    # (a runner's own use_cache leaves the schedule cache on).
+    runner = ExperimentRunner(
+        use_cache=False, engine=EngineConfig(schedule_cache=False)
+    )
     assert runner.cache is None
     runner.run([SPECS[0]])
     assert not list(tmp_path.iterdir())
