@@ -22,9 +22,8 @@ plus a trailing tail segment) is
   flags are part of ``final_ptes``).
 
 The columns are plain Python lists (JSON-trivial, and exactly what the
-replay hot loop wants — no numpy scalars can leak into simulator
-arithmetic); :meth:`arrays` materialises cached numpy views for the
-reductions (§4.3 transfer/CPU terms, validation).  ``policy_state``
+replay hot loop wants); :meth:`transfer_counts` and :meth:`total_cpu`
+reduce them for the §4.3 transfer/CPU terms.  ``policy_state``
 and ``final_ptes`` snapshot the replacement policy and every touched
 page-table entry as interpreted execution would leave them, so a
 replayed machine is indistinguishable after the run too.
@@ -33,7 +32,7 @@ replayed machine is indistinguishable after the run too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 __all__ = ["FaultSchedule", "SCHEDULE_FORMAT"]
 
@@ -41,11 +40,6 @@ __all__ = ["FaultSchedule", "SCHEDULE_FORMAT"]
 #: schedule cache hashes this into every entry path, so a bump makes
 #: stale entries silently miss (they are never deserialised).
 SCHEDULE_FORMAT = 2
-
-try:  # numpy backs the reductions; the replay path never requires it
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
 
 
 @dataclass
@@ -108,32 +102,10 @@ class FaultSchedule:
                 vi += nv
         return ops
 
-    def arrays(self) -> Optional[Dict[str, Any]]:
-        """Cached numpy views of the columns (None without numpy)."""
-        if _np is None:
-            return None
-        cached = self.__dict__.get("_arrays")
-        if cached is None:
-            cached = self.__dict__["_arrays"] = {
-                "chunk_cpu": _np.asarray(self.chunk_cpu, dtype=_np.float64),
-                "seg_chunks": _np.asarray(self.seg_chunks, dtype=_np.int64),
-                "seg_bumps": _np.asarray(self.seg_bumps, dtype=_np.int64),
-                "fault_page": _np.asarray(self.fault_page, dtype=_np.int64),
-                "fault_flags": _np.asarray(self.fault_flags, dtype=_np.uint8),
-                "victim_lens": _np.asarray(self.victim_lens, dtype=_np.int64),
-            }
-        return cached
-
     def transfer_counts(self) -> Dict[str, int]:
-        """Array-reduced transfer profile: pageins, pageouts, zero fills."""
-        arrays = self.arrays()
-        if arrays is not None:
-            flags = arrays["fault_flags"]
-            pageins = int(((flags & 2) != 0).sum())
-            pageouts = int(arrays["victim_lens"].sum())
-        else:  # pragma: no cover - numpy ships with the toolchain
-            pageins = sum(1 for f in self.fault_flags if f & 2)
-            pageouts = len(self.victims)
+        """Transfer profile: pageins, pageouts, zero fills."""
+        pageins = sum(1 for f in self.fault_flags if f & 2)
+        pageouts = len(self.victims)
         return {
             "pageins": pageins,
             "pageouts": pageouts,
@@ -142,12 +114,9 @@ class FaultSchedule:
         }
 
     def total_cpu(self) -> float:
-        """Array-reduced total user-CPU flush (diagnostic; the replay
-        accumulates the same chunks sequentially for bit-exactness)."""
-        arrays = self.arrays()
-        if arrays is not None:
-            return float(arrays["chunk_cpu"].sum())
-        return sum(self.chunk_cpu)  # pragma: no cover
+        """Total user-CPU flush (diagnostic; the replay accumulates the
+        same chunks sequentially for bit-exactness)."""
+        return sum(self.chunk_cpu)
 
     # ---------------------------------------------------------- serialise
     def to_json_dict(self) -> Dict[str, Any]:

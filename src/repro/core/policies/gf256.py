@@ -16,27 +16,12 @@ that's the only algebra the policies need:
 * ``reconstruct(available)`` — interpolate from any k points to whatever
   points are missing.
 
-Both reduce to XOR-accumulating scalar-multiplied fragments.
-
-Two interchangeable byte-identical engines do that accumulation:
-
-* **python** — scalar multiplication of a whole fragment is a single
-  ``bytes.translate`` with a per-scalar 256-entry table (one C-level
-  pass per (fragment, scalar) pair, no per-byte python loop);
-* **numpy** — a packed-lane kernel: output rows are processed in pairs,
-  each input fragment viewed as little-endian uint16 byte pairs and
-  gathered once through a 64K-entry table whose uint32 values hold
-  ``c*a | c*b<<8`` for both rows' coefficients (two bytes × two rows
-  per gathered element), XOR-accumulated in the packed domain and
-  unpacked with strided views.  At 8 KB pages this is an order of
-  magnitude faster than the translate loop
-  (benchmarks/bench_erasure.py measures the exact ratio).
-
-The numpy engine is auto-selected at import when numpy is available;
-``REPRO_NO_NUMPY_GF=1`` forces the pure-python path (and the absence of
-numpy degrades silently to it).  Because GF arithmetic is exact, the two
-backends produce byte-identical fragments — the choice is invisible to
-every simulated result (tests/faults/test_codec_backends.py pins this).
+Both reduce to XOR-accumulating scalar-multiplied fragments: scalar
+multiplication of a whole fragment is a single ``bytes.translate``
+with a per-scalar 256-entry table (one C-level pass per (fragment,
+scalar) pair, no per-byte python loop).  GF arithmetic is exact, so
+the result is the same bytes a per-byte ``gf_mul`` loop computes
+(tests/faults/test_codec_backends.py checks it against one).
 
 Coefficient rows are memoised at module level so every
 :class:`ReedSolomon` instance in the process shares them: encode
@@ -54,7 +39,6 @@ own call sequence, never on process-global cache state).
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -66,9 +50,7 @@ __all__ = [
     "codec_stats",
     "gf_mul",
     "gf_inv",
-    "prime_tables",
     "scale_bytes",
-    "set_codec_backend",
     "split_page",
     "join_fragments",
 ]
@@ -104,118 +86,13 @@ def gf_inv(a: int) -> int:
     return GF_EXP[255 - GF_LOG[a]]
 
 
-# --------------------------------------------------------------------------
-# Backend selection.
-# --------------------------------------------------------------------------
-
-try:  # pragma: no cover - exercised via both CI legs
-    import numpy as _np
-except Exception:  # numpy genuinely absent: degrade silently
-    _np = None
-
-import sys as _sys
-
-#: The packed-lane kernel relies on little-endian uint16/uint32 views.
-if _np is not None and _sys.byteorder != "little":  # pragma: no cover
-    _np = None
-
-#: Active engine name; start from the environment, fall back gracefully.
-_BACKEND = "python" if (_np is None or os.environ.get("REPRO_NO_NUMPY_GF")) \
-    else "numpy"
-
-#: 256x256 GF(256) multiplication table for the numpy engine (lazy).
-_NP_MUL = None
-
-
 def codec_backend() -> str:
-    """The active codec engine: ``"numpy"`` or ``"python"``."""
-    return _BACKEND
+    """Name of the codec engine: always ``"python"``.
 
-
-def set_codec_backend(name: Optional[str]) -> str:
-    """Select the codec engine; returns the previous one.
-
-    ``"numpy"`` / ``"python"`` force an engine (raising if numpy is
-    requested but unavailable); ``None`` restores the import-time
-    auto-selection.  Benchmark A/B hygiene only — outputs are
-    byte-identical either way.
+    There is one engine, so this is a constant; it stays for callers
+    that record the engine name next to their measurements.
     """
-    global _BACKEND
-    previous = _BACKEND
-    if name is None:
-        name = "python" if (_np is None or os.environ.get("REPRO_NO_NUMPY_GF")) \
-            else "numpy"
-    if name not in ("numpy", "python"):
-        raise ValueError(f"unknown codec backend: {name!r}")
-    if name == "numpy" and _np is None:
-        raise RuntimeError("numpy backend requested but numpy is unavailable")
-    _BACKEND = name
-    return previous
-
-
-def _np_mul_table():
-    """The full GF(256) product table, built once per process."""
-    global _NP_MUL
-    if _NP_MUL is None:
-        exp = _np.array(GF_EXP, dtype=_np.uint8)
-        log = _np.array(GF_LOG, dtype=_np.int64)
-        table = exp[log[:, None] + log[None, :]]
-        table[0, :] = 0
-        table[:, 0] = 0
-        _NP_MUL = table
-    return _NP_MUL
-
-
-def prime_tables() -> None:
-    """Materialise the lazy codec tables in *this* process.
-
-    The parallel runner calls this in the parent before forking its
-    worker pool: the 64 KB product table then lives in pages every
-    worker shares copy-on-write (the tables are never written after
-    construction), instead of each worker rebuilding it on first use.
-    A no-op on the pure-python engine, whose log/exp tables are built
-    at import.
-    """
-    if _BACKEND == "numpy":
-        _np_mul_table()
-
-
-#: (c1,) or (c1, c2) -> packed pair-multiply table, LRU-bounded.  Keyed
-#: by the coefficient values alone, so every matrix sharing a column
-#: pair shares the table.  Each uint32 table is 256 KB; the bound keeps
-#: the working set a few MB.
-_PAIR_TABLES: "OrderedDict[tuple, object]" = OrderedDict()
-_PAIR_TABLES_MAX = 64
-
-
-def _pair_table(col: tuple):
-    """Packed multiply table for one or two coefficient lanes.
-
-    Index = a little-endian byte pair ``(a, b)`` read as uint16; value =
-    ``c1*a | c1*b << 8`` in the low lane and (for two-lane tables)
-    ``c2*a | c2*b << 8`` in the high lane.  One gather through this
-    table therefore advances *two adjacent bytes* of *every packed
-    output row* at once — the numpy engine's whole trick.
-    """
-    table = _PAIR_TABLES.get(col)
-    if table is not None:
-        _PAIR_TABLES.move_to_end(col)
-        return table
-    mul = _np_mul_table()
-    lanes = []
-    for c in col:
-        row = mul[c].astype(_np.uint16)
-        # [b, a] grid raveled in C order == index (b << 8 | a).
-        lanes.append((row[:, None] << 8) | row[None, :])
-    if len(col) == 1:
-        table = _np.ascontiguousarray(lanes[0].ravel())
-    else:
-        table = (lanes[0].ravel().astype(_np.uint32)
-                 | (lanes[1].ravel().astype(_np.uint32) << 16))
-    _PAIR_TABLES[col] = table
-    if len(_PAIR_TABLES) > _PAIR_TABLES_MAX:
-        _PAIR_TABLES.popitem(last=False)
-    return table
+    return "python"
 
 
 #: scalar -> 256-byte translation table for whole-fragment multiply.
@@ -251,87 +128,6 @@ def _combine(
         out = term if out is None else xor_bytes(out, term)
     if out is None:
         return bytes(len(fragments[0]))
-    return out
-
-
-def _combine_rows(
-    fragments: Sequence[bytes],
-    rows: Sequence[Sequence[int]],
-) -> List[bytes]:
-    """All row-combinations of ``fragments`` at once, backend-dispatched.
-
-    ``rows`` is an ``(n_out, n_in)`` coefficient matrix; the result is
-    ``n_out`` fragments, each the GF(256) XOR-accumulation of the inputs
-    scaled by its row.  The numpy engine processes output rows in packed
-    pairs — one 64K-entry gather per input fragment covers two bytes of
-    two output rows at a time; the python engine falls back to per-row
-    ``bytes.translate`` passes.  Outputs are byte-identical.
-    """
-    if not rows:
-        return []
-    if _BACKEND == "numpy" and fragments and len(fragments[0]):
-        return _combine_rows_numpy(fragments, rows)
-    return [_combine(fragments, row) for row in rows]
-
-
-#: Reusable gather scratch (acc/tmp per dtype), keyed by halfword count.
-#: Bounded: the process only ever sees a handful of fragment lengths.
-_SCRATCH: "OrderedDict[tuple, object]" = OrderedDict()
-_SCRATCH_MAX = 16
-
-
-def _scratch(half: int, dtype) -> tuple:
-    key = (half, _np.dtype(dtype).itemsize)
-    bufs = _SCRATCH.get(key)
-    if bufs is None:
-        bufs = (_np.empty(half, dtype), _np.empty(half, dtype))
-        _SCRATCH[key] = bufs
-        if len(_SCRATCH) > _SCRATCH_MAX:
-            _SCRATCH.popitem(last=False)
-    else:
-        _SCRATCH.move_to_end(key)
-    return bufs
-
-
-def _combine_rows_numpy(
-    fragments: Sequence[bytes],
-    rows: Sequence[Sequence[int]],
-) -> List[bytes]:
-    length = len(fragments[0])
-    buf = _np.frombuffer(b"".join(fragments), dtype=_np.uint8)
-    if length % 2:
-        frags = _np.zeros((len(fragments), length + 1), dtype=_np.uint8)
-        frags[:, :length] = buf.reshape(len(fragments), length)
-    else:
-        frags = buf.reshape(len(fragments), length)
-    pairs = frags.view(_np.uint16)
-    half = pairs.shape[1]
-    out: List[bytes] = []
-    for base in range(0, len(rows), 2):
-        chunk = rows[base : base + 2]
-        dtype = _np.uint32 if len(chunk) == 2 else _np.uint16
-        acc, tmp = _scratch(half, dtype)
-        live = 0
-        for i, index_row in enumerate(pairs):
-            col = tuple(row[i] for row in chunk)
-            if not any(col):
-                continue
-            table = _pair_table(col)
-            if live == 0:
-                table.take(index_row, mode="clip", out=acc)
-            else:
-                table.take(index_row, mode="clip", out=tmp)
-                acc ^= tmp
-            live += 1
-        if live == 0:
-            out.extend(bytes(length) for _ in chunk)
-        elif len(chunk) == 2:
-            lanes = acc.view(_np.uint16).reshape(-1, 2)
-            for lane in range(2):
-                row_bytes = _np.ascontiguousarray(lanes[:, lane])
-                out.append(row_bytes.view(_np.uint8)[:length].tobytes())
-        else:
-            out.append(acc.view(_np.uint8)[:length].tobytes())
     return out
 
 
@@ -379,9 +175,8 @@ _STATS = {
 
 
 def codec_stats() -> dict:
-    """Process-wide codec state: active backend + coefficient caches."""
+    """Process-wide coefficient-cache state."""
     return {
-        "backend": _BACKEND,
         "encode_matrices": _STATS["encode_matrices"],
         "recon_rows_cached": len(_RECON_ROWS),
         "recon_row_hits": _STATS["recon_row_hits"],
@@ -455,93 +250,32 @@ class ReedSolomon:
             raise ValueError(
                 f"expected {self.k} data fragments, got {len(data_fragments)}"
             )
-        return _combine_rows(data_fragments, self._encode_matrix)
+        return [_combine(data_fragments, row) for row in self._encode_matrix]
 
     def encode_many(
         self, pages: Sequence[Sequence[bytes]]
     ) -> List[List[bytes]]:
-        """Parity for a whole stripe batch of pages in one codec pass.
+        """Parity for a stripe batch: ``[encode(p) for p in pages]``.
 
-        ``pages`` is a sequence of per-page data-fragment lists (each of
-        ``k`` equal-length fragments).  Equivalent to ``[encode(p) for p
-        in pages]`` byte-for-byte, but the numpy engine concatenates the
-        batch along the fragment axis so every gather covers the whole
-        batch — the streaming entry point for bulk producers (rebuild
-        sweeps, benchmarks, the future gateway striper).
+        ``pages`` is a sequence of per-page data-fragment lists; the
+        batch must be uniform (``k`` fragments per page, one fragment
+        length throughout) or :class:`ValueError` is raised.
         """
-        if not pages:
-            return []
-        length = len(pages[0][0])
-        sizes = {len(page) for page in pages}
-        if sizes != {self.k}:
-            raise ValueError(
-                f"expected {self.k} data fragments per page, got {sizes}"
-            )
-        if {len(f) for page in pages for f in page} != {length}:
-            raise ValueError("ragged fragment lengths in batch")
-        if _BACKEND != "numpy" or length == 0 or len(pages) == 1:
-            return [self.encode(page) for page in pages]
-        big = [b"".join([page[i] for page in pages]) for i in range(self.k)]
-        parity_rows = _combine_rows(big, self._encode_matrix)
-        return [
-            [row[p * length : (p + 1) * length] for row in parity_rows]
-            for p in range(len(pages))
-        ]
+        if pages:
+            sizes = {len(page) for page in pages}
+            if sizes != {self.k}:
+                raise ValueError(
+                    f"expected {self.k} data fragments per page, got {sizes}"
+                )
+            if len({len(f) for page in pages for f in page}) != 1:
+                raise ValueError("ragged fragment lengths in batch")
+        return [self.encode(page) for page in pages]
 
     def data_from_many(
         self, availables: Sequence[Dict[int, bytes]]
     ) -> List[List[bytes]]:
-        """Batched :meth:`data_from` over a uniform survivor pattern.
-
-        When every page in the batch offers the same fragment-index set
-        (the shape of a rebuild sweep after a crash), the reconstruction
-        runs as one batched codec pass; mixed survivor patterns fall
-        back to the per-page path.  Byte-identical either way.
-        """
-        if not availables:
-            return []
-        first = frozenset(availables[0])
-        if (
-            _BACKEND != "numpy"
-            or len(availables) == 1
-            or any(frozenset(a) != first for a in availables[1:])
-            or len(availables[0]) < self.k
-        ):
-            return [self.data_from(a) for a in availables]
-        length = len(next(iter(availables[0].values())))
-        if length == 0 or any(
-            len(f) != length for a in availables for f in a.values()
-        ):
-            return [self.data_from(a) for a in availables]
-        src = tuple(
-            sorted(first, key=lambda i: (i >= self.k, i))[: self.k]
-        )
-        todo = tuple(i for i in range(self.k) if i not in first)
-        if not todo:
-            return [[a[i] for i in range(self.k)] for a in availables]
-        key = (src, todo)
-        if self.stats is not None:
-            self.stats.add(
-                "codec_row_hits" if key in self._seen_subsets
-                else "codec_row_misses"
-            )
-        self._seen_subsets.add(key)
-        rows = _reconstruction_rows(self.k, self.m, src, todo)
-        big = [b"".join([a[i] for a in availables]) for i in src]
-        rebuilt_rows = _combine_rows(big, rows)
-        out: List[List[bytes]] = []
-        for p, available in enumerate(availables):
-            rebuilt = {
-                index: row[p * length : (p + 1) * length]
-                for index, row in zip(todo, rebuilt_rows)
-            }
-            out.append(
-                [
-                    available[i] if i in available else rebuilt[i]
-                    for i in range(self.k)
-                ]
-            )
-        return out
+        """Batched :meth:`data_from`: one call per survivor dict."""
+        return [self.data_from(available) for available in availables]
 
     # ------------------------------------------------------- reconstruct
     def reconstruct(
@@ -585,8 +319,8 @@ class ReedSolomon:
         self._seen_subsets.add(key)
         rows = _reconstruction_rows(self.k, self.m, src, key[1])
         fragments = [available[i] for i in src]
-        for index, fragment in zip(todo, _combine_rows(fragments, rows)):
-            out[index] = fragment
+        for index, row in zip(todo, rows):
+            out[index] = _combine(fragments, row)
         return out
 
     def data_from(self, available: Dict[int, bytes]) -> List[bytes]:

@@ -12,8 +12,6 @@ next fault would trip over it.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..errors import RecoveryError, RequestTimeout, ServerCrashed
 from ..sim import Interrupt, Process, Simulator
 from .client import RemoteMemoryPager
@@ -34,7 +32,6 @@ class Watchdog:
         view: ClusterView,
         report_interval: float,
         suspect_after: float = 3.0,
-        poll: Optional[float] = None,
     ):
         if report_interval <= 0 or suspect_after <= 1:
             raise ValueError(

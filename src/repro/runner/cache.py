@@ -2,13 +2,13 @@
 
 Each result is stored as one JSON file named by the SHA-256 of the
 run's *fingerprint*: the spec's canonical identity (engine included),
-the package version, the effective codec backend, and a digest of the
-package sources.  The digest covers every module a run imports — the
-worker entry point pulls in the experiment drivers, the registry, the
-pipeline, the compiler and the observability layer, and any of them can
-shape a cached report — so editing any of them invalidates every entry
-automatically.  Only the modules a run never imports (the CLI and the
-trace-summary renderer) are left out.
+the package version, and a digest of the package sources.  The digest
+covers every module a run imports — the worker entry point pulls in the
+experiment drivers, the registry, the pipeline, the compiler and the
+observability layer, and any of them can shape a cached report — so
+editing any of them invalidates every entry automatically.  Only the
+modules a run never imports (the CLI and the trace-summary renderer)
+are left out.
 
 The store is human-inspectable: every file carries the spec it caches
 in ``describe()`` form next to the report fields.  Invalidate manually
@@ -64,24 +64,8 @@ def _source_digest() -> str:
     return _code_digest
 
 
-def _runtime_token() -> str:
-    """Runtime configuration that rides in every fingerprint.
-
-    The GF(256) engines are byte-identical by contract, but keying on
-    the *effective* backend means an engine regression can never poison
-    cells computed by the other engine — and A/B benchmark legs that
-    flip ``REPRO_NO_NUMPY_GF`` honestly recompute both sides.  Network
-    model, client count and the engine need no entry here: they travel
-    inside the spec and are already part of ``spec.identity()``.
-    """
-    from ..core.policies.gf256 import codec_backend
-
-    return f"codec={codec_backend()}"
-
-
 def fingerprint(spec: RunSpec) -> str:
-    """Content address of one run: spec identity + version + sources
-    + runtime configuration (the effective codec backend)."""
+    """Content address of one run: spec identity + version + sources."""
     import repro
 
     payload = "\n".join(
@@ -89,7 +73,6 @@ def fingerprint(spec: RunSpec) -> str:
             str(_FORMAT),
             repro.__version__,
             _source_digest(),
-            _runtime_token(),
             spec.identity(),
         )
     )

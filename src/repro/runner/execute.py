@@ -10,11 +10,7 @@ one code path by construction.
 :func:`execute_chunk` wraps it for batched submission: the runner ships
 a handful of chunks per campaign instead of one pool task per spec, so
 a 500-cell matrix pays a few pickle/dispatch round-trips rather than
-500.  :func:`prime_shared_tables` warms the read-only codec tables —
-called in the parent before the pool forks, the tables land in
-copy-on-write pages every worker shares; it doubles as the pool
-initializer so spawn-based platforms build them once per worker
-instead of once per spec.
+500.
 """
 
 from __future__ import annotations
@@ -116,11 +112,10 @@ def execute_chunk(specs: Sequence[RunSpec]) -> List[RunResult]:
 
 
 def prime_shared_tables() -> None:
-    """Build the read-only codec tables ahead of worker fan-out.
+    """Does nothing.
 
-    Safe to call repeatedly; each table is built at most once per
-    process.
+    The codec has no table worth building ahead of a worker fork: its
+    log/exp tables are built at import and each per-scalar translate
+    table is 256 bytes, built on first use.  Kept for callers that
+    still invoke it before their first cell.
     """
-    from ..core.policies.gf256 import prime_tables
-
-    prime_tables()

@@ -39,7 +39,7 @@ from ..config import EngineConfig
 from ..log import get_logger
 from ..vm.machine import CompletionReport
 from .cache import ResultCache
-from .execute import execute_chunk, execute_spec, prime_shared_tables
+from .execute import execute_chunk, execute_spec
 from .spec import RunResult, RunSpec
 
 log = get_logger(__name__)
@@ -102,16 +102,10 @@ class ExperimentRunner:
 
         The pool outlives individual :meth:`run` calls: a campaign that
         regenerates every figure pays one pool spin-up (fork + import
-        of the simulation packages) instead of one per call.  Codec
-        tables are primed *before* the fork so workers share them
-        read-only; ``prime_shared_tables`` also rides along as the pool
-        initializer for spawn-based start methods.
+        of the simulation packages) instead of one per call.
         """
         if self._pool is None:
-            prime_shared_tables()
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.jobs, initializer=prime_shared_tables
-            )
+            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
         return self._pool
 
     def close(self) -> None:

@@ -13,26 +13,6 @@ from typing import Any, Dict, List, Optional
 
 __all__ = ["Counter", "Tally", "TimeWeighted", "UtilizationTracker"]
 
-try:  # numpy accelerates the percentile sort; everything else is exact O(1)
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
-
-
-def _sort_samples(samples: List[float]) -> List[float]:
-    """Sort for nearest-rank percentiles, numpy-backed when possible.
-
-    Sorting is a pure reordering, so ``np.sort`` and ``sorted`` agree
-    element-for-element; ``tolist()`` hands back native Python floats so
-    nothing downstream ever sees a numpy scalar.  Falls back to
-    ``sorted`` for non-float payloads (or without numpy).
-    """
-    if _np is not None and len(samples) > 32 and all(
-        type(s) is float for s in samples
-    ):
-        return _np.sort(_np.asarray(samples, dtype=_np.float64)).tolist()
-    return sorted(samples)
-
 
 class Counter:
     """A named bag of monotonically increasing integer counters."""
@@ -153,7 +133,7 @@ class Tally:
             return math.nan
         data = self._sorted
         if data is None:
-            data = self._sorted = _sort_samples(self._samples)
+            data = self._sorted = sorted(self._samples)
         rank = max(1, math.ceil(q / 100.0 * len(data)))
         return data[rank - 1]
 

@@ -4,9 +4,8 @@ Two layers of pinning for the PR 6 fast paths:
 
 * **structural** — the columnar artifact's invariants: segment counts
   tie out against the concatenated columns, the flat format-1 op view
-  reconstructs consistently, the array reductions agree with the
-  per-op walk, and the cached numpy views never leak into
-  serialisation.
+  reconstructs consistently, the column reductions agree with the
+  per-op walk, and the JSON form round-trips exactly.
 * **behavioural** — hypothesis drives randomized synthetic workloads
   through compiled replay (merged-chunk ``sim.at`` reconciliation) and
   interpreted execution across every reliability policy and every
@@ -16,7 +15,6 @@ Two layers of pinning for the PR 6 fast paths:
 
 import dataclasses
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -86,17 +84,13 @@ def test_array_reductions_agree_with_per_op_walk():
     assert counts["pageouts"] == pageouts
     assert counts["zero_fills"] == schedule.n_faults - pageins
     assert counts["transfers"] == pageins + pageouts
-    assert schedule.total_cpu() == pytest.approx(sum(schedule.chunk_cpu))
+    assert schedule.total_cpu() == sum(schedule.chunk_cpu)
 
 
-def test_array_views_cached_and_invisible_to_serialisation():
+def test_schedule_json_round_trips():
     schedule = _compile_gauss()
-    arrays = schedule.arrays()
-    assert arrays is schedule.arrays()  # cached, not rebuilt
     data = dataclasses.asdict(schedule)
-    assert "_arrays" not in data
     json_dict = schedule.to_json_dict()
-    assert "_arrays" not in json_dict
     assert json_dict["format"] == SCHEDULE_FORMAT
     clone = FaultSchedule.from_json_dict(json_dict)
     assert dataclasses.asdict(clone) == data

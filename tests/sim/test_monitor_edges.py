@@ -104,21 +104,15 @@ def test_percentile_reuses_sorted_cache_until_invalidated():
     assert tally.percentile(0) == 1.0
 
 
-def test_numpy_sort_matches_sorted_exactly():
-    """The numpy-backed percentile sort (used for > 32 float samples)
-    must agree element-for-element with ``sorted`` and hand back native
-    floats, so every downstream percentile is bit-identical."""
+def test_percentile_is_exact_for_float_samples():
+    """Nearest-rank percentiles return the very sample at that rank:
+    the same native float, duplicates, signed zeros and extreme
+    magnitudes included."""
     import random
-
-    from repro.sim.monitor import _sort_samples
 
     rng = random.Random(20260808)
     samples = [rng.uniform(-1e3, 1e3) for _ in range(500)]
     samples += [samples[7], samples[7], 0.0, -0.0, 1e-300, 1e300]
-    fast = _sort_samples(samples)
-    assert fast == sorted(samples)
-    assert all(type(s) is float for s in fast)
-
     tally = Tally(keep_samples=True)
     for value in samples:
         tally.observe(value)
@@ -126,21 +120,25 @@ def test_numpy_sort_matches_sorted_exactly():
     n = len(reference)
     for q in (0, 1, 25, 50, 75, 95, 99, 100):
         rank = max(1, math.ceil(q / 100.0 * n))  # nearest-rank, as Tally
-        assert tally.percentile(q) == reference[rank - 1]
+        value = tally.percentile(q)
+        assert type(value) is float
+        assert value == reference[rank - 1]
 
 
-def test_int_samples_keep_python_sort():
-    """Integer samples must not round-trip through float64 (a large int
-    would silently lose precision): the fallback path keeps them
-    exact."""
-    from repro.sim.monitor import _sort_samples
-
-    big = 2**63 + 1  # not representable as float64
-    samples = [big, 1, 3, 2] * 12  # length > 32: numpy-eligible size
-    result = _sort_samples(samples)
-    assert result == sorted(samples)
-    assert result[-1] == big
-    assert all(type(s) is int for s in result)
+def test_percentile_is_exact_for_ints_above_2_53():
+    """Integer samples never round-trip through float64: a value above
+    2**53 (not representable as a float) comes back exactly, as an
+    int."""
+    big = 2**63 + 1
+    tally = Tally(keep_samples=True)
+    for value in [big, 1, 3, 2] * 12:
+        tally.observe(value)
+    top = tally.percentile(100)
+    assert type(top) is int
+    assert top == big
+    assert tally.percentile(99) == big
+    assert tally.percentile(0) == 1
+    assert tally.percentile(50) == 2
 
 
 # --------------------------------------------------------- TimeWeighted
