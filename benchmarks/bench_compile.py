@@ -5,11 +5,15 @@ Three PR 5 measurements, one JSON summary (``BENCH_pr5.json``):
 * **compile A/B** — a reference-dense paging workload (hot set sized to
   memory, long cold tail: every reference walks the MMU/replacement hot
   loop but only cold misses fault) swept across three reliability
-  policies.  The schedule cache is warmed by the first cell — the
-  remaining cells replay the *same* cached schedule, so the sweep is
-  O(faults) instead of O(references).  Acceptance requires >= 3x
-  end-to-end (warm sweep vs the identical sweep with ``--no-compile``
-  semantics, i.e. ``EngineConfig(compile=False)``).
+  policies.  Every cell compiles its own schedule (compiled schedules
+  live only as long as the run), so the ratio — compiled sweep vs the
+  identical sweep with ``--no-compile`` semantics, i.e.
+  ``EngineConfig(compile=False)`` — pays trace generation and
+  compilation in each cell.  Recorded, unthresholded: the compile pass
+  walks the same references the interpreter does, so the ratio sits
+  near 1x; ``bench_fleet.py``'s >= 5x gate is where schedule reuse
+  (one compile, N replays) is enforced.  The sweep's reports must be
+  byte-identical to the interpreted ones.
 * **paper-scale A/B** — the fig2 GAUSS/parity-logging cell compiled vs
   interpreted, reported but *unthresholded*: at paper scale the wire
   simulation dominates wall-clock, so the per-reference savings are
@@ -28,7 +32,7 @@ former whole-run memo tier, kept as history):
   reliability policies as one ``ExperimentRunner`` campaign with the
   result cache on, re-run warm (every cell a cache hit).  The ratio's
   base is the identical campaign with the result cache off (default
-  engine, warm schedule cache): what re-running ``repro fig2`` costs
+  engine): what re-running ``repro fig2`` costs
   without the cache.  Acceptance requires >= 10x and the cached reports
   byte-identical to the computed ones.
 * **engine matrix** — the same campaign, uncached, on every engine:
@@ -64,22 +68,21 @@ for _path in (_HERE, _SRC):
 
 from bench_kernel import measure_kernels  # noqa: E402
 
-#: PR 5 acceptance thresholds, enforced by ``--check``.
-COMPILE_SPEEDUP_FLOOR = 3.0
+#: PR 5 acceptance threshold, enforced by ``--check``.
 KERNEL_REGRESSION_BUDGET = 0.03
 
 #: Paper-scale acceptance threshold (``--paper-scale --check``): warm
 #: result-cache campaign vs the identical uncached campaign.
 WARM_CAMPAIGN_SPEEDUP_FLOOR = 10.0
 
-#: The multi-policy sweep.  The schedule key is reliability-blind (the
-#: policy changes how faults are *serviced*, never which references
-#: fault), so all three cells share one cached schedule.
+#: The multi-policy sweep.  A schedule is reliability-blind (the policy
+#: changes how faults are *serviced*, never which references fault), so
+#: all three cells compile the same schedule.
 SWEEP_POLICIES = ("no-reliability", "mirroring", "parity-logging")
 
 
 # --------------------------------------------------------------------------
-# Compile A/B: reference-dense sweep, warm schedule cache.
+# Compile A/B: reference-dense sweep, one compile per cell.
 # --------------------------------------------------------------------------
 
 def _bench_spec():
@@ -125,30 +128,21 @@ def _run_sweep(n_refs: int, compile_on: bool) -> dict:
 
 
 def measure_compile_ab(n_refs: int = 400_000, repeats: int = 3) -> dict:
-    """Warm-cache compiled sweep vs the identical interpreted sweep."""
-    previous = os.environ.get("REPRO_CACHE_DIR")
-    with tempfile.TemporaryDirectory(prefix="bench-compile-") as cache_dir:
-        os.environ["REPRO_CACHE_DIR"] = cache_dir
-        try:
-            # Cold: first-ever sweep pays one compilation, then two
-            # cache hits.  Warm: every cell replays the cached schedule.
-            cold = _run_sweep(n_refs, compile_on=True)
-            warm_wall = min(
-                _run_sweep(n_refs, compile_on=True)["wall_seconds"]
-                for _ in range(repeats)
-            )
-            interpreted = min(
-                _run_sweep(n_refs, compile_on=False)["wall_seconds"]
-                for _ in range(repeats)
-            )
-        finally:
-            if previous is None:
-                os.environ.pop("REPRO_CACHE_DIR", None)
-            else:
-                os.environ["REPRO_CACHE_DIR"] = previous
+    """Compiled sweep (a compile in every cell) vs the identical
+    interpreted sweep, interleaved so host drift hits both alike."""
+    import dataclasses
 
-    reports = cold["reports"]
+    compiled_walls, interpreted_walls = [], []
+    for _ in range(repeats):
+        compiled = _run_sweep(n_refs, compile_on=True)
+        interpreted = _run_sweep(n_refs, compile_on=False)
+        compiled_walls.append(compiled["wall_seconds"])
+        interpreted_walls.append(interpreted["wall_seconds"])
+
+    reports = compiled["reports"]
     sample = reports[SWEEP_POLICIES[0]]
+    compiled_wall = min(compiled_walls)
+    interpreted_wall = min(interpreted_walls)
     return {
         "workload": "hot-cold",
         "n_refs": n_refs,
@@ -156,11 +150,15 @@ def measure_compile_ab(n_refs: int = 400_000, repeats: int = 3) -> dict:
         "etime": {name: round(r.etime, 4) for name, r in reports.items()},
         "sample_pageins": sample.pageins,
         "policies": list(SWEEP_POLICIES),
-        "cold_seconds": round(cold["wall_seconds"], 4),
-        "warm_seconds": round(warm_wall, 4),
-        "interpreted_seconds": round(interpreted, 4),
-        "cold_speedup": round(interpreted / cold["wall_seconds"], 2),
-        "speedup": round(interpreted / warm_wall, 2),
+        "compiled_seconds": round(compiled_wall, 4),
+        "interpreted_seconds": round(interpreted_wall, 4),
+        "identical_reports": all(
+            dataclasses.asdict(reports[name])
+            == dataclasses.asdict(interpreted["reports"][name])
+            for name in SWEEP_POLICIES
+        ),
+        # Unthresholded (trajectory UNGATED): each cell compiles.
+        "speedup": round(interpreted_wall / compiled_wall, 2),
     }
 
 
@@ -173,10 +171,9 @@ def _run_gauss(compile_on: bool) -> dict:
     from repro.core.builder import build_cluster
     from repro.workloads import Gauss
 
-    # No schedule cache: measure compile + replay honestly.
     cluster = build_cluster(
         policy="parity-logging", n_servers=4, overflow_fraction=0.10,
-        engine=EngineConfig(compile=compile_on, schedule_cache=False),
+        engine=EngineConfig(compile=compile_on),
     )
     start = perf_counter()
     report = cluster.run(Gauss())
@@ -224,7 +221,7 @@ WARM_PASSES = 21
 #: What the warm-campaign ratio divides by, stated in the record.
 WARM_CAMPAIGN_BASE = (
     "the identical ExperimentRunner campaign with the result cache off "
-    "(default engine, warm schedule cache)"
+    "(default engine)"
 )
 
 
@@ -269,30 +266,21 @@ def measure_warm_campaign(repeats: int = 3) -> dict:
     from repro.config import EngineConfig
     from repro.runner import ExperimentRunner
 
-    previous = os.environ.get("REPRO_CACHE_DIR")
+    uncached = [
+        _campaign(ExperimentRunner(use_cache=False)) for _ in range(repeats)
+    ]
     with tempfile.TemporaryDirectory(prefix="bench-paper-") as cache_dir:
-        os.environ["REPRO_CACHE_DIR"] = cache_dir
-        try:
-            uncached = [
-                _campaign(ExperimentRunner(use_cache=False))
-                for _ in range(repeats)
-            ]
-            cold = _campaign(ExperimentRunner(use_cache=True))
-            warm = [
-                _campaign(ExperimentRunner(use_cache=True))
-                for _ in range(WARM_PASSES)
-            ]
-            matrix = {
-                name: _campaign(ExperimentRunner(
-                    use_cache=False, engine=EngineConfig(**fields)
-                ))
-                for name, fields in ENGINES.items()
-            }
-        finally:
-            if previous is None:
-                os.environ.pop("REPRO_CACHE_DIR", None)
-            else:
-                os.environ["REPRO_CACHE_DIR"] = previous
+        cold = _campaign(ExperimentRunner(use_cache=True, cache_dir=cache_dir))
+        warm = [
+            _campaign(ExperimentRunner(use_cache=True, cache_dir=cache_dir))
+            for _ in range(WARM_PASSES)
+        ]
+    matrix = {
+        name: _campaign(ExperimentRunner(
+            use_cache=False, engine=EngineConfig(**fields)
+        ))
+        for name, fields in ENGINES.items()
+    }
 
     base = uncached[0]
     uncached_wall = median(run["wall"] for run in uncached)
@@ -376,12 +364,8 @@ def run_benchmarks(
 def check(summary: dict) -> list:
     """The PR 5 acceptance thresholds; returns a list of failures."""
     failures = []
-    ab = summary["compile_ab"]
-    if ab["speedup"] < COMPILE_SPEEDUP_FLOOR:
-        failures.append(
-            f"compiled sweep {ab['speedup']:.2f}x < "
-            f"{COMPILE_SPEEDUP_FLOOR}x floor"
-        )
+    if not summary["compile_ab"]["identical_reports"]:
+        failures.append("compiled sweep reports diverged from interpreted")
     for path_name, path in summary["kernel"].items():
         overhead = path["tracer_overhead_vs_pr1"]
         if overhead >= KERNEL_REGRESSION_BUDGET:
@@ -398,13 +382,13 @@ def check(summary: dict) -> list:
 
 
 # --------------------------------------------------------------------------
-# pytest smoke checks (smaller stream; the speedup floor still holds).
+# pytest smoke checks (smaller stream).
 # --------------------------------------------------------------------------
 
 def test_compiled_sweep_speedup(benchmark, once):
     results = once(benchmark, measure_compile_ab, n_refs=150_000, repeats=2)
     print("\n" + json.dumps(results, indent=2))
-    assert results["speedup"] >= COMPILE_SPEEDUP_FLOOR
+    assert results["identical_reports"]
     assert all(f > 0 for f in results["faults"].values())
 
 

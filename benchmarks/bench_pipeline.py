@@ -3,10 +3,12 @@
 Three measurements, one JSON summary (``BENCH_pr4.json``):
 
 * **content fast path A/B** — the content-mode hot loop (regenerate a
-  page payload, compare it to its expected bytes, checksum it) with the
-  :mod:`repro.vm.page` memo caches ON vs OFF.  The caches return shared
-  immutable objects, so the equality compare short-circuits on identity
-  and the CRC is computed once per version; acceptance requires >= 1.3x.
+  page payload, compare it to its expected bytes, checksum it) through
+  the :mod:`repro.vm.page` memo caches vs through the uncached
+  primitives (``_generate_page_bytes``, ``zlib.crc32``) called
+  directly.  The caches return shared immutable objects, so the
+  equality compare short-circuits on identity and the CRC is computed
+  once per version; acceptance requires >= 1.3x.
 * **pipeline A/B** — the fig2 GAUSS/parity-logging cell synchronous
   (window 1, literally the paper's datapath) vs pipelined (window 8):
   wall-clock, plus the modeled paging cost (measured protocol CPU +
@@ -31,6 +33,7 @@ import argparse
 import json
 import os
 import sys
+import zlib
 from time import perf_counter
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
@@ -51,9 +54,9 @@ KERNEL_REGRESSION_BUDGET = 0.03
 # --------------------------------------------------------------------------
 
 def _content_hot_loop(
-    page_size: int, pages: int, passes: int, touches: int
+    generate, checksum, page_size: int, pages: int, passes: int, touches: int
 ) -> float:
-    """Seconds for the content-mode hot loop.
+    """Seconds for the content-mode hot loop over one primitive pair.
 
     One (page, version) payload is materialised several times per
     transfer in a real run — pageout generation + checksum, the server's
@@ -61,39 +64,46 @@ def _content_hot_loop(
     the end-of-run integrity replay — so each pair here is touched
     ``touches`` times: regenerate, compare against expected, checksum.
     """
-    from repro.vm.page import page_bytes, page_checksum
-
     start = perf_counter()
     for version in range(1, passes + 1):
         for page_id in range(pages):
             for _ in range(touches):
-                contents = page_bytes(page_id, version, page_size)
-                expected = page_bytes(page_id, version, page_size)
+                contents = generate(page_id, version, page_size)
+                expected = generate(page_id, version, page_size)
                 assert contents == expected
-                page_checksum(contents)
+                checksum(contents)
     return perf_counter() - start
+
+
+def _crc32(contents: bytes) -> int:
+    return zlib.crc32(contents) & 0xFFFFFFFF
 
 
 def measure_content_ab(
     page_size: int = 8192, pages: int = 400, passes: int = 12,
     touches: int = 3, repeats: int = 3,
 ) -> dict:
-    from repro.vm.page import set_fastpath
+    """The memoised ``page_bytes``/``page_checksum`` against the uncached
+    primitives they wrap, called directly."""
+    from repro.vm.page import (
+        _generate_page_bytes,
+        clear_fastpath_caches,
+        page_bytes,
+        page_checksum,
+    )
 
     accesses = pages * passes * touches
-    previous = set_fastpath(True)
-    try:
-        fast = min(
-            _content_hot_loop(page_size, pages, passes, touches)
-            for _ in range(repeats)
-        )
-        set_fastpath(False)
-        slow = min(
-            _content_hot_loop(page_size, pages, passes, touches)
-            for _ in range(repeats)
-        )
-    finally:
-        set_fastpath(previous)
+    clear_fastpath_caches()
+    # Interleaved rounds, best-of each: host drift hits both legs alike.
+    fast = slow = float("inf")
+    for _ in range(repeats):
+        fast = min(fast, _content_hot_loop(
+            page_bytes, page_checksum, page_size, pages, passes, touches
+        ))
+        slow = min(slow, _content_hot_loop(
+            _generate_page_bytes, _crc32, page_size, pages, passes, touches
+        ))
+    clear_fastpath_caches()
     return {
         "page_size": page_size,
         "touches_per_version": touches,

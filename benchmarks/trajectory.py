@@ -17,9 +17,8 @@ host, divided::
     kernel.<path>.speedup   live kernel events/sec over the frozen seed
                             kernel, interleaved rounds (an events/sec
                             gate in ratio form)
-    content_ab.speedup      content fast path on vs off, same run
-    compile_ab.speedup      warm compiled sweep vs the identical
-                            interpreted sweep
+    content_ab.speedup      memoised page primitives vs the uncached
+                            ones called directly, same run
 
 Host drift hits both sides of each ratio alike, so "dropped >10% vs
 best recorded" means the *code* got slower, not the machine.  Absolute
@@ -37,8 +36,8 @@ parallel scaling depends on runner core count, the paper-scale
 compiled cell is documented as unthresholded (wire simulation, not
 per-reference work, dominates it — see benchmarks/README.md), the
 warm result-cache campaign divides by a sub-millisecond pass, and the
-codec A/B's best-ever mark was set by a codec engine that no longer
-exists.
+codec A/B's and compile A/B's best-ever marks were set by code that no
+longer exists (a numpy codec engine; an on-disk schedule cache).
 
 Usage::
 
@@ -64,6 +63,12 @@ UNGATED = {
         "documented unthresholded: wire simulation dominates the cell"
     ),
     "compile_ab.cold_speedup": "includes one-off compile cost",
+    "compile_ab.speedup": (
+        "now a compile in every cell (near 1x: compiling walks the same "
+        "references the interpreter does); the 3.9x best replayed a warm "
+        "on-disk schedule cache that no longer exists; bench_fleet.py "
+        "--check enforces schedule reuse (>= 5x) instead"
+    ),
     "warm_campaign.speedup": (
         "cache-hit ratio over a sub-millisecond warm pass: host noise moves "
         "it by more than the tolerance; --check enforces a 10x floor instead"

@@ -292,8 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     group.add_argument(
         "--no-cache", action="store_true",
-        help="recompute every run, bypassing the on-disk result and "
-        "compiled-schedule caches",
+        help="recompute every run, bypassing the on-disk result cache",
     )
     group.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -631,8 +630,6 @@ def _engine_config(args) -> EngineConfig:
     """The one :class:`EngineConfig` the execution flags select."""
     return EngineConfig(
         compile=not args.no_compile,
-        # "Recompute every run" covers compiled fault schedules too.
-        schedule_cache=not args.no_cache,
         analytic_ethernet=not args.no_analytic_ethernet,
         analytic_switched=not args.no_analytic_switched,
     )

@@ -11,12 +11,11 @@ amounts and fault decisions the interpreted path would make, so the
 simulation-event sequence is literally unchanged (see DESIGN.md §12).
 """
 
-from .schedule import SCHEDULE_FORMAT, FaultSchedule
+from .schedule import FaultSchedule
 from .compiler import compile_trace
 from .plan import fleet_bypass_reason, plan_fleet, plan_run
 
 __all__ = [
-    "SCHEDULE_FORMAT",
     "FaultSchedule",
     "compile_trace",
     "plan_fleet",

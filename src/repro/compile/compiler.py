@@ -52,7 +52,7 @@ def compile_trace(
     if len(policy) != 0:
         raise ValueError("compile_trace needs a fresh (empty) policy instance")
 
-    # Columnar schedule under construction (format 2, see schedule.py):
+    # Columnar schedule under construction (see schedule.py):
     # segment-major arrays instead of a flat op list.
     chunk_cpu: list = []
     seg_chunks: list = []

@@ -1,9 +1,8 @@
-"""Eligibility, caching, and dispatch for compiled replay.
+"""Eligibility and dispatch for compiled replay.
 
 :func:`plan_run` is the single integration point ``Cluster.run``
 consults before executing a workload: it decides whether the run may
-use the batch-replay fast path, fetches or compiles the fault
-schedule, and emits ``compile.*`` trace events so every decision is
+use the batch-replay fast path, compiles the fault schedule, and emits ``compile.*`` trace events so every decision is
 visible in a ``--trace`` recording.
 
 Compilation is on by default (``EngineConfig.compile``, carried into
@@ -59,34 +58,31 @@ def _bypass_reason(machine, pager, workload) -> Optional[str]:
     return None
 
 
-def _schedule_key(machine, workload, token) -> dict:
-    """Everything that determines the compiled schedule's content."""
+def _share_key(machine, token) -> str:
+    """Everything that determines a compiled schedule's content, as the
+    in-memory pool key under which identical fleet clients share one.
+    ``repr`` keeps values that compare equal but replay differently
+    (``1`` vs ``1.0``) apart."""
     spec = machine.spec
-    return {
-        "workload": list(token),
-        "replacement": machine.replacement.name,
-        "user_frames": spec.user_frames,
-        "page_size": spec.page_size,
-        "cpu_speed": spec.cpu_speed,
-        "max_cpu_chunk": machine.max_cpu_chunk,
-        "free_batch": machine.free_batch,
-    }
-
-
-def _freeze_key(key: dict) -> tuple:
-    """A hashable token for in-memory schedule dedupe within one fleet."""
-    return tuple(sorted((name, repr(value)) for name, value in key.items()))
+    return repr((
+        token,
+        machine.replacement.name,
+        spec.user_frames,
+        spec.page_size,
+        spec.cpu_speed,
+        machine.max_cpu_chunk,
+        machine.free_batch,
+    ))
 
 
 def _plan_machine_schedule(machine, pager, workload, shared=None):
     """Schedule decision for one (machine, pager, workload) triple:
-    the schedule, or None to interpret.  Emits bypass/cache-hit/
-    compiled/fleet-shared.  ``shared`` is an optional
-    in-memory pool (see :func:`plan_fleet`): identical clients compile
-    once and replay the same schedule object — safe because replay
-    *copies* the captured policy state into each machine
-    (``Machine._restore_schedule_state``) and never mutates the
-    schedule."""
+    the schedule, or None to interpret.  Emits bypass/compiled/
+    fleet-shared.  ``shared`` is an optional in-memory pool (see
+    :func:`plan_fleet`): identical clients compile once and replay the
+    same schedule object — safe because replay *copies* the captured
+    policy state into each machine (``Machine._restore_schedule_state``)
+    and never mutates the schedule."""
     tracer = machine.sim.tracer
 
     if not machine.compile_schedules:
@@ -98,32 +94,17 @@ def _plan_machine_schedule(machine, pager, workload, shared=None):
         tracer.emit("compile", "bypass", reason=reason)
         return None
 
-    token = workload.schedule_token() if hasattr(workload, "schedule_token") else None
-    cache = None
-    frozen = None
-    if token is not None:
-        key = _schedule_key(machine, workload, token)
-        if shared is not None:
-            frozen = _freeze_key(key)
-            schedule = shared.get(frozen)
+    key = None
+    if shared is not None and hasattr(workload, "schedule_token"):
+        token = workload.schedule_token()
+        if token is not None:
+            key = _share_key(machine, token)
+            schedule = shared.get(key)
             if schedule is not None:
                 tracer.emit(
                     "compile", "fleet-shared",
                     faults=schedule.n_faults, refs=schedule.n_refs,
                 )
-                return schedule
-        if machine.schedule_cache:
-            from ..runner.cache import ScheduleCache
-
-            cache = ScheduleCache()
-            schedule = cache.get(key)
-            if schedule is not None:
-                tracer.emit(
-                    "compile", "cache-hit",
-                    faults=schedule.n_faults, refs=schedule.n_refs,
-                )
-                if frozen is not None:
-                    shared[frozen] = schedule
                 return schedule
 
     started = perf_counter()
@@ -136,17 +117,13 @@ def _plan_machine_schedule(machine, pager, workload, shared=None):
         free_batch=machine.free_batch,
     )
     wall_ms = (perf_counter() - started) * 1e3
-    if cache is not None:
-        schedule.meta = dict(key)
-        cache.put(key, schedule)
     tracer.emit(
         "compile", "compiled",
         faults=schedule.n_faults, refs=schedule.n_refs,
         ops=schedule.n_ops, wall_ms=round(wall_ms, 3),
-        cached=cache is not None,
     )
-    if frozen is not None:
-        shared[frozen] = schedule
+    if key is not None:
+        shared[key] = schedule
     return schedule
 
 

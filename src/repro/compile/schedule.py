@@ -1,8 +1,8 @@
 """The fault-schedule artifact: a compiled reference stream.
 
-Format 2 stores the schedule **columnar**, one array per op field,
-instead of format 1's flat ``["c", ...]/["b", ...]/["f", ...]`` op
-list.  Execution order is segment-major: segment ``i`` (one per fault,
+The schedule is stored **columnar**, one list per op field, rather
+than as a flat ``["c", ...]/["b", ...]/["f", ...]`` op list (:attr:`ops`
+rebuilds that view for diagnostics).  Execution order is segment-major: segment ``i`` (one per fault,
 plus a trailing tail segment) is
 
 * ``seg_chunks[i]`` CPU-flush amounts taken in order from
@@ -21,8 +21,8 @@ plus a trailing tail segment) is
   order.  Clean victims leave no trace at fault time (their page-table
   flags are part of ``final_ptes``).
 
-The columns are plain Python lists (JSON-trivial, and exactly what the
-replay hot loop wants); :meth:`transfer_counts` and :meth:`total_cpu`
+The columns are plain Python lists (exactly what the replay hot loop
+wants); :meth:`transfer_counts` and :meth:`total_cpu`
 reduce them for the §4.3 transfer/CPU terms.  ``policy_state``
 and ``final_ptes`` snapshot the replacement policy and every touched
 page-table entry as interpreted execution would leave them, so a
@@ -31,15 +31,10 @@ replayed machine is indistinguishable after the run too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List
 
-__all__ = ["FaultSchedule", "SCHEDULE_FORMAT"]
-
-#: Bump when the op or artifact layout changes incompatibly.  The
-#: schedule cache hashes this into every entry path, so a bump makes
-#: stale entries silently miss (they are never deserialised).
-SCHEDULE_FORMAT = 2
+__all__ = ["FaultSchedule"]
 
 
 @dataclass
@@ -66,13 +61,11 @@ class FaultSchedule:
     n_faults: int
     policy_state: Any
     final_ptes: List[list]
-    #: Provenance: the cache key fields the schedule was compiled under.
-    meta: Dict[str, Any] = field(default_factory=dict)
 
     # ------------------------------------------------------------ views
     @property
     def n_ops(self) -> int:
-        """Op count in the equivalent flat (format 1) encoding."""
+        """Op count in the equivalent flat op-list encoding."""
         return (
             len(self.chunk_cpu)
             + self.n_faults
@@ -81,7 +74,7 @@ class FaultSchedule:
 
     @property
     def ops(self) -> List[list]:
-        """Flat format-1 op list, reconstructed on demand (diagnostics)."""
+        """Flat op list, reconstructed on demand (diagnostics)."""
         ops: List[list] = []
         ci = bi = vi = 0
         n_faults = self.n_faults
@@ -117,46 +110,3 @@ class FaultSchedule:
         """Total user-CPU flush (diagnostic; the replay accumulates the
         same chunks sequentially for bit-exactness)."""
         return sum(self.chunk_cpu)
-
-    # ---------------------------------------------------------- serialise
-    def to_json_dict(self) -> Dict[str, Any]:
-        """JSON-serialisable form (floats round-trip exactly via repr)."""
-        return {
-            "format": SCHEDULE_FORMAT,
-            "chunk_cpu": self.chunk_cpu,
-            "seg_chunks": self.seg_chunks,
-            "seg_bumps": self.seg_bumps,
-            "bump_pages": self.bump_pages,
-            "fault_page": self.fault_page,
-            "fault_flags": self.fault_flags,
-            "victim_lens": self.victim_lens,
-            "victims": self.victims,
-            "n_refs": self.n_refs,
-            "n_faults": self.n_faults,
-            "policy_state": self.policy_state,
-            "final_ptes": self.final_ptes,
-            "meta": self.meta,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Dict[str, Any]) -> "FaultSchedule":
-        if data.get("format") != SCHEDULE_FORMAT:
-            raise ValueError(
-                f"incompatible schedule format {data.get('format')!r} "
-                f"(expected {SCHEDULE_FORMAT})"
-            )
-        return cls(
-            chunk_cpu=data["chunk_cpu"],
-            seg_chunks=data["seg_chunks"],
-            seg_bumps=data["seg_bumps"],
-            bump_pages=data["bump_pages"],
-            fault_page=data["fault_page"],
-            fault_flags=data["fault_flags"],
-            victim_lens=data["victim_lens"],
-            victims=data["victims"],
-            n_refs=data["n_refs"],
-            n_faults=data["n_faults"],
-            policy_state=data["policy_state"],
-            final_ptes=data["final_ptes"],
-            meta=data.get("meta", {}),
-        )

@@ -211,8 +211,6 @@ class EngineConfig:
 
     * ``compile`` — replay precompiled fault schedules where eligible
       (``repro.compile``); off interprets every reference stream.
-    * ``schedule_cache`` — reuse compiled schedules stored on disk
-      under the cache directory; off compiles every run afresh.
     * ``analytic_ethernet`` — serve uncontended shared-Ethernet
       messages analytically; off walks every frame's CSMA/CD steps.
     * ``analytic_switched`` — serve uncontended switched-fabric port
@@ -220,7 +218,6 @@ class EngineConfig:
     """
 
     compile: bool = True
-    schedule_cache: bool = True
     analytic_ethernet: bool = True
     analytic_switched: bool = True
 

@@ -208,9 +208,9 @@ def build_cluster(
     adaptive prefetcher); the defaults (1, 0, 0) keep the paper's
     synchronous datapath bit-identically.
 
-    ``engine`` selects the host-side fast paths (trace compilation, the
-    schedule cache, the analytic Ethernet and switched-fabric service
-    paths — see :class:`~repro.config.EngineConfig`).  Every setting
+    ``engine`` selects the host-side fast paths (trace compilation and
+    the analytic Ethernet and switched-fabric service paths — see
+    :class:`~repro.config.EngineConfig`).  Every setting
     produces byte-identical results; the default takes every fast path.
 
     ``telemetry_interval`` (simulated seconds) > 0 installs a
@@ -365,7 +365,6 @@ def build_cluster(
         content_mode=content_mode,
         init_time=init_time,
         compile_schedules=engine.compile,
-        schedule_cache=engine.schedule_cache,
         name="client",
     )
 

@@ -172,7 +172,6 @@ def build_fleet(
                 pager,
                 init_time=init_time + stagger * c,
                 compile_schedules=engine.compile,
-                schedule_cache=engine.schedule_cache,
                 name=client_name,
             )
         )

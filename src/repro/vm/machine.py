@@ -121,9 +121,6 @@ class Machine:
     compile_schedules:
         Whether ``Cluster.run`` may replay a compiled fault schedule
         where eligible (see ``repro.compile``); False always interprets.
-    schedule_cache:
-        Whether compiled schedules may be read from and stored in the
-        on-disk schedule cache.
     """
 
     def __init__(
@@ -139,7 +136,6 @@ class Machine:
         free_batch: int = 16,
         prefetch: int = 0,
         compile_schedules: bool = True,
-        schedule_cache: bool = True,
         name: str = "client",
     ):
         if init_time < 0 or max_cpu_chunk <= 0:
@@ -162,9 +158,8 @@ class Machine:
         self.pageout_window = pageout_window
         self.free_batch = free_batch
         self.prefetch = prefetch
-        #: Engine switches the compile planner consults at run time.
+        #: Engine switch the compile planner consults at run time.
         self.compile_schedules = compile_schedules
-        self.schedule_cache = schedule_cache
         self._utime = 0.0
         self._systime = 0.0
         self._inflight_slots = 0

@@ -60,7 +60,7 @@ class ReplacementPolicy:
         raise NotImplementedError
 
     def export_state(self) -> Any:
-        """JSON-serialisable snapshot for schedule replay (optional)."""
+        """Plain-data snapshot for schedule replay (optional)."""
         raise NotImplementedError
 
     def restore_state(self, state: Any) -> None:

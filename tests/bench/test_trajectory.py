@@ -24,52 +24,52 @@ def trajectory():
 
 
 _RECORD = {
-    "compile_ab": {"speedup": 3.9, "cold_speedup": 1.8, "warm_seconds": 0.3},
+    "content_ab": {"speedup": 3.9, "cold_speedup": 1.8, "warm_seconds": 0.3},
     "kernel": {"relay_path": {"speedup": 1.6, "events_per_sec": {"seed": 1e6}}},
 }
 
 
 def test_extract_ratios_keeps_only_dimensionless_metrics(trajectory):
     assert trajectory.extract_ratios(_RECORD) == {
-        "compile_ab.speedup": 3.9,
-        "compile_ab.cold_speedup": 1.8,
+        "content_ab.speedup": 3.9,
+        "content_ab.cold_speedup": 1.8,
         "kernel.relay_path.speedup": 1.6,
     }
 
 
 def test_build_trajectory_tracks_best_per_record(trajectory):
-    built = trajectory.build_trajectory({"BENCH_pr5.json": _RECORD})
-    assert built["best"]["BENCH_pr5.json"]["compile_ab.speedup"] == 3.9
+    built = trajectory.build_trajectory({"BENCH_pr4.json": _RECORD})
+    assert built["best"]["BENCH_pr4.json"]["content_ab.speedup"] == 3.9
     assert built["tolerance"] == trajectory.TOLERANCE
     json.dumps(built)  # artifact must serialize
 
 
 def test_baseline_high_water_mark_survives_regeneration(trajectory):
-    baseline = trajectory.build_trajectory({"BENCH_pr5.json": _RECORD})
-    slower = {"compile_ab": {"speedup": 3.88}}  # within tolerance
+    baseline = trajectory.build_trajectory({"BENCH_pr4.json": _RECORD})
+    slower = {"content_ab": {"speedup": 3.88}}  # within tolerance
     rebuilt = trajectory.build_trajectory(
-        {"BENCH_pr5.json": slower}, baseline=baseline
+        {"BENCH_pr4.json": slower}, baseline=baseline
     )
     # History reflects the fresh run; best keeps the old high-water mark.
-    assert rebuilt["history"]["BENCH_pr5.json"]["compile_ab.speedup"] == 3.88
-    assert rebuilt["best"]["BENCH_pr5.json"]["compile_ab.speedup"] == 3.9
+    assert rebuilt["history"]["BENCH_pr4.json"]["content_ab.speedup"] == 3.88
+    assert rebuilt["best"]["BENCH_pr4.json"]["content_ab.speedup"] == 3.9
 
 
 def test_check_fails_on_more_than_ten_percent_drop(trajectory):
-    baseline = trajectory.build_trajectory({"BENCH_pr5.json": _RECORD})
-    regressed = {"compile_ab": {"speedup": 3.5}}  # 3.9 * 0.9 = 3.51 floor
-    records = {"BENCH_pr5.json": regressed}
+    baseline = trajectory.build_trajectory({"BENCH_pr4.json": _RECORD})
+    regressed = {"content_ab": {"speedup": 3.5}}  # 3.9 * 0.9 = 3.51 floor
+    records = {"BENCH_pr4.json": regressed}
     built = trajectory.build_trajectory(records, baseline=baseline)
     failures = trajectory.check(built, records)
     assert len(failures) == 1
-    assert "compile_ab.speedup" in failures[0]
+    assert "content_ab.speedup" in failures[0]
     assert "3.9" in failures[0]
 
 
 def test_check_passes_within_tolerance_and_on_new_best(trajectory):
-    baseline = trajectory.build_trajectory({"BENCH_pr5.json": _RECORD})
+    baseline = trajectory.build_trajectory({"BENCH_pr4.json": _RECORD})
     for speedup in (3.52, 3.9, 5.0):  # floor is 3.51
-        records = {"BENCH_pr5.json": {"compile_ab": {"speedup": speedup}}}
+        records = {"BENCH_pr4.json": {"content_ab": {"speedup": speedup}}}
         built = trajectory.build_trajectory(records, baseline=baseline)
         assert trajectory.check(built, records) == []
 

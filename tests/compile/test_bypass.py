@@ -5,13 +5,15 @@ machine-level read-ahead or the PR 4 adaptive prefetcher — must execute
 interpretively, announced by a ``compile.bypass`` trace event.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.compile import plan_run
 from repro.config import EngineConfig, MachineSpec
 from repro.core.builder import build_cluster
 from repro.obs.trace import Tracer, install_tracer, uninstall_tracer
-from repro.workloads import SequentialScan
+from repro.workloads import Gauss, SequentialScan
 
 _SMALL = MachineSpec(
     name="bypass-small",
@@ -19,11 +21,6 @@ _SMALL = MachineSpec(
     kernel_resident_bytes=1 * 1024 * 1024,
     page_size=8192,
 )
-
-
-#: Every run compiles afresh, so each test sees ``compiled``, never
-#: a ``cache-hit`` left by an earlier run.
-_UNCACHED = EngineConfig(schedule_cache=False)
 
 
 @pytest.fixture()
@@ -46,7 +43,7 @@ def _workload():
     return SequentialScan(n_pages=300, passes=2, write=True)
 
 
-def _cluster(engine=_UNCACHED, **overrides):
+def _cluster(engine=EngineConfig(), **overrides):
     return build_cluster(
         policy="no-reliability", n_servers=2, seed=1, machine_spec=_SMALL,
         engine=engine, **overrides,
@@ -93,7 +90,7 @@ def test_nondeterministic_workload_bypasses(tracer):
 
 
 def test_cluster_override_and_process_default(tracer):
-    cluster = _cluster(engine=EngineConfig(compile=False, schedule_cache=False))
+    cluster = _cluster(engine=EngineConfig(compile=False))
     cluster.run(_workload())
     assert ("bypass", {"reason": "disabled"}) in _compile_events(tracer)
     # The default engine compiles; nothing outside the cluster's own
@@ -118,3 +115,22 @@ def test_custom_policy_without_batch_api_bypasses(tracer):
     cluster = _cluster(replacement=CustomPolicy())
     cluster.run(_workload())
     assert ("bypass", {"reason": "replacement:custom"}) in _compile_events(tracer)
+
+
+def test_recorded_workload_compiles_uncached(tracer, tmp_path):
+    """No identity token -> still compiled, and identical to interpreted."""
+    from repro.workloads.trace_io import RecordedWorkload, save_trace
+
+    path = tmp_path / "wl.trace"
+    save_trace(Gauss(n=300, passes=1), path)
+    workload = RecordedWorkload(path)
+    assert workload.schedule_token() is None
+
+    compiled = dataclasses.asdict(_cluster().run(workload))
+    interpreted = dataclasses.asdict(
+        _cluster(EngineConfig(compile=False)).run(workload)
+    )
+    assert compiled == interpreted
+    assert [event for event, _ in _compile_events(tracer)] == [
+        "compiled", "bypass",
+    ]

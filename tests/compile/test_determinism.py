@@ -4,9 +4,7 @@ The acceptance bar for the trace compiler: for every experiment x
 policy x application cell, `CompletionReport` — every field, every
 counter, the full metrics snapshot — must match the interpreted path
 *exactly* (float-for-float), and the chaos campaigns must stay CLEAN
-and identical.  The schedule cache is disabled here so every compiled
-run exercises the compiler itself; `test_schedule_cache.py` covers the
-cached path.
+and identical.
 """
 
 import dataclasses
@@ -43,7 +41,7 @@ _POLICIES = ("disk", "no-reliability", "mirroring", "parity-logging", "write-thr
 
 
 def _engine(compile_on):
-    return EngineConfig(compile=compile_on, schedule_cache=False)
+    return EngineConfig(compile=compile_on)
 
 
 def _run(policy, workload_factory, replacement="lru", compile_on=True, **overrides):

@@ -29,10 +29,6 @@ _SMALL = MachineSpec(
 _WORKLOAD = ("sequential-scan", {"n_pages": 400, "passes": 3, "write": True})
 
 
-#: Compile afresh every run: planner events never depend on cache hits.
-_UNCACHED = EngineConfig(schedule_cache=False)
-
-
 @pytest.fixture()
 def tracer():
     tracer = Tracer()
@@ -55,7 +51,7 @@ def _run(compile_schedules, n_clients=3, **kwargs):
         n_clients=n_clients,
         n_donors=2,
         machine_spec=_SMALL,
-        engine=EngineConfig(compile=compile_schedules, schedule_cache=False),
+        engine=EngineConfig(compile=compile_schedules),
         **kwargs,
     )
     return results
@@ -102,7 +98,7 @@ def test_fleet_compiled_matches_on_ethernet_fabric_bypass(tracer):
 
 
 def test_identical_clients_share_one_compiled_schedule(tracer):
-    fleet = build_fleet(n_clients=3, n_donors=2, machine_spec=_SMALL, engine=_UNCACHED)
+    fleet = build_fleet(n_clients=3, n_donors=2, machine_spec=_SMALL)
     clients = [
         (machine, pager, make_workload(_WORKLOAD[0], dict(_WORKLOAD[1])))
         for machine, pager in zip(fleet.machines, fleet.pagers)
@@ -118,7 +114,7 @@ def test_identical_clients_share_one_compiled_schedule(tracer):
 
 
 def test_cross_client_server_sharing_bypasses(tracer):
-    fleet = build_fleet(n_clients=2, n_donors=2, machine_spec=_SMALL, engine=_UNCACHED)
+    fleet = build_fleet(n_clients=2, n_donors=2, machine_spec=_SMALL)
     # Violate §6 on purpose: point client 1 at client 0's servers.
     fleet.pagers[1].policy.servers = fleet.pagers[0].policy.servers
     clients = [

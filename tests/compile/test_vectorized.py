@@ -1,11 +1,11 @@
-"""Columnar (format 2) schedules and vectorized replay equivalence.
+"""Columnar schedules and vectorized replay equivalence.
 
 Two layers of pinning for the PR 6 fast paths:
 
 * **structural** — the columnar artifact's invariants: segment counts
-  tie out against the concatenated columns, the flat format-1 op view
-  reconstructs consistently, the column reductions agree with the
-  per-op walk, and the JSON form round-trips exactly.
+  tie out against the concatenated columns, the flat op-list view
+  reconstructs consistently, and the column reductions agree with the
+  per-op walk.
 * **behavioural** — hypothesis drives randomized synthetic workloads
   through compiled replay (merged-chunk ``sim.at`` reconciliation) and
   interpreted execution across every reliability policy and every
@@ -18,7 +18,7 @@ import dataclasses
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.compile import SCHEDULE_FORMAT, FaultSchedule, compile_trace
+from repro.compile import compile_trace
 from repro.config import EngineConfig, MachineSpec
 from repro.core.builder import build_cluster
 from repro.vm.replacement import LruReplacement, make_replacement
@@ -87,15 +87,6 @@ def test_array_reductions_agree_with_per_op_walk():
     assert schedule.total_cpu() == sum(schedule.chunk_cpu)
 
 
-def test_schedule_json_round_trips():
-    schedule = _compile_gauss()
-    data = dataclasses.asdict(schedule)
-    json_dict = schedule.to_json_dict()
-    assert json_dict["format"] == SCHEDULE_FORMAT
-    clone = FaultSchedule.from_json_dict(json_dict)
-    assert dataclasses.asdict(clone) == data
-
-
 def test_merged_chunk_segments_exist_at_paper_chunking():
     """The multi-chunk merged-``sim.at`` replay path must actually be
     exercised by the equivalence suite: under the default 0.25 s CPU
@@ -113,7 +104,7 @@ def _report(policy, replacement, workload, compile_on):
         seed=7,
         machine_spec=_SMALL,
         replacement=make_replacement(replacement),
-        engine=EngineConfig(compile=compile_on, schedule_cache=False),
+        engine=EngineConfig(compile=compile_on),
     )
     report = cluster.run(workload)
     return dataclasses.asdict(report), cluster.metrics.snapshot()

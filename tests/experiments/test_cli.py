@@ -86,3 +86,21 @@ def test_profile_subcommand(capsys):
 def test_ablate_choice_validation():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["ablate", "--which", "nonsense"])
+
+
+def test_cache_dir_holds_everything_a_compiled_run_writes(
+    tmp_path, monkeypatch, capsys
+):
+    cache_dir = tmp_path / "cache"
+    xdg = tmp_path / "xdg"
+    xdg.mkdir()
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(xdg))
+    argv = ["fig2", "--apps", "mvec", "--policies", "no-reliability",
+            "--cache-dir", str(cache_dir)]
+    assert main(argv) == 0
+    assert "mvec" in capsys.readouterr().out
+    written = [path for path in tmp_path.rglob("*") if path.is_file()]
+    assert written, "the result cache stored nothing"
+    outside = [path for path in written if cache_dir not in path.parents]
+    assert outside == []

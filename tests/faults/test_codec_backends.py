@@ -37,7 +37,6 @@ from repro.faults import check_page_integrity
 from repro.vm.page import (
     clear_fastpath_caches,
     fastpath_stats,
-    set_fastpath,
     zero_page,
 )
 from repro.workloads import SequentialScan
@@ -249,19 +248,6 @@ def test_zero_page_fragments_encoded_once():
     assert fragment_memo_get(page, (4, 2, 2048)) is None  # shape-guarded
     assert fastpath_stats()["fragment_hits"] == 1
     assert ErasureCoding is not None  # the consumer of this memo
-
-
-def test_fragment_memo_disabled_without_fastpath():
-    previous = set_fastpath(False)
-    try:
-        from repro.vm.page import fragment_memo_get, fragment_memo_put
-
-        page = bytes(64)
-        fragment_memo_put(page, (2, 1, 32), ["frags"])
-        assert fragment_memo_get(page, (2, 1, 32)) is None
-        assert fastpath_stats()["fragment_entries"] == 0
-    finally:
-        set_fastpath(previous)
 
 
 # --------------------------------------------------------------------------

@@ -50,7 +50,7 @@ def test_summary_of_traced_compiled_run(tmp_path):
     _assert_valid_nonempty(summary, text)
     # The run went through the compiled schedule tier and said so.
     kinds = {event["event"] for event in summary.compile_events}
-    assert kinds & {"compiled", "cache-hit"}
+    assert "compiled" in kinds
     assert "compile fast path" in text
     # Per-fault spans survive batch replay: the latency section exists.
     assert summary.latency, "no span latencies collected"

@@ -4,7 +4,6 @@ import dataclasses
 
 import pytest
 
-from repro.config import EngineConfig
 from repro.runner import ExperimentRunner, RunSpec
 
 #: A fast 2x2 matrix: small enough to run in seconds, big enough to page.
@@ -58,11 +57,9 @@ def test_cache_hit_equals_cold_run(tmp_path):
 
 
 def test_no_cache_runner_never_touches_disk(tmp_path):
-    # The CLI's --no-cache: no result cache, and no schedule cache either
-    # (a runner's own use_cache leaves the schedule cache on).
-    runner = ExperimentRunner(
-        use_cache=False, engine=EngineConfig(schedule_cache=False)
-    )
+    # The CLI's --no-cache on the default engine: nothing reaches disk,
+    # compiled schedules included (they live in memory only).
+    runner = ExperimentRunner(use_cache=False)
     assert runner.cache is None
     runner.run([SPECS[0]])
     assert not list(tmp_path.iterdir())

@@ -60,7 +60,6 @@ def test_retired_engine_switches_are_inert(monkeypatch):
     cluster = build_cluster()
     assert cluster.network.analytic is True
     assert cluster.machine.compile_schedules is True
-    assert cluster.machine.schedule_cache is True
     switched = build_cluster(switched_spec=SwitchedNetworkSpec())
     assert switched.network.analytic is True
 
@@ -71,7 +70,7 @@ def test_retired_engine_switches_are_inert(monkeypatch):
 _NUMPY_PROBE = """
 import json, sys
 import repro
-from repro.config import EngineConfig, MachineSpec
+from repro.config import MachineSpec
 from repro.core.builder import build_cluster
 from repro.core.policies.gf256 import ReedSolomon
 from repro.sim.monitor import Tally
@@ -92,7 +91,6 @@ cluster = build_cluster(
         name="env-small", ram_bytes=2 * 1024 * 1024,
         kernel_resident_bytes=1 * 1024 * 1024, page_size=8192,
     ),
-    engine=EngineConfig(schedule_cache=False),
 )
 replay = cluster.machine.run_schedule_to_completion
 

@@ -1,28 +1,20 @@
 """Content fast path: memoised pages, shared zero page, CRC-once.
 
 The fast path may only change wall-clock, never values: every test here
-compares the cached primitives against the uncached originals.
+compares the cached primitives against the uncached ones called
+directly (``_generate_page_bytes``, ``zlib.crc32``, ``bytes(size)``).
 """
 
 import zlib
 
-import pytest
-
 from repro.vm.page import (
+    _generate_page_bytes,
     clear_fastpath_caches,
     fastpath_stats,
     page_bytes,
     page_checksum,
-    set_fastpath,
     zero_page,
 )
-
-
-@pytest.fixture(autouse=True)
-def _restore_fastpath():
-    previous = set_fastpath(True)
-    yield
-    set_fastpath(previous)
 
 
 def test_page_bytes_identity_shared_on_hits():
@@ -33,16 +25,13 @@ def test_page_bytes_identity_shared_on_hits():
 
 def test_page_bytes_values_match_uncached():
     cached = page_bytes(3, 7, 4096)
-    set_fastpath(False)
-    assert page_bytes(3, 7, 4096) == cached
-    assert page_bytes(3, 7, 4096) is not page_bytes(3, 7, 4096)
+    assert _generate_page_bytes(3, 7, 4096) == cached
+    assert _generate_page_bytes(3, 7, 4096) is not _generate_page_bytes(3, 7, 4096)
 
 
 def test_zero_page_shared_and_correct():
     assert zero_page(64) is zero_page(64)
-    assert zero_page(64) == b"\x00" * 64
-    set_fastpath(False)
-    assert zero_page(64) == b"\x00" * 64
+    assert zero_page(64) == bytes(64)
 
 
 def test_checksum_matches_crc32_and_uncached_path():
@@ -50,8 +39,6 @@ def test_checksum_matches_crc32_and_uncached_path():
     expected = zlib.crc32(payload) & 0xFFFFFFFF
     assert page_checksum(payload) == expected
     assert page_checksum(payload) == expected  # memo hit, same value
-    set_fastpath(False)
-    assert page_checksum(payload) == expected
 
 
 def test_checksum_distinguishes_equal_length_payloads():
@@ -69,12 +56,13 @@ def test_checksum_of_fresh_unshared_bytes():
     assert page_checksum(mutated) != page_checksum(raw)
 
 
-def test_set_fastpath_returns_previous_and_flushes():
-    assert set_fastpath(False) is True
-    assert set_fastpath(True) is False
+def test_clear_fastpath_caches_flushes_every_memo():
     page_bytes(9, 9, 128)
+    page_checksum(zero_page(128))
     stats = fastpath_stats()
-    assert stats["enabled"] and stats["page_bytes_entries"] >= 1
+    assert stats["page_bytes_entries"] >= 1
+    assert stats["checksum_entries"] >= 1
+    assert stats["zero_page_sizes"] >= 1
     clear_fastpath_caches()
     stats = fastpath_stats()
     assert stats["page_bytes_entries"] == 0
