@@ -36,11 +36,12 @@ former whole-run memo tier, kept as history):
   without the cache.  Acceptance requires >= 10x and the cached reports
   byte-identical to the computed ones.
 * **engine matrix** — the same campaign, uncached, on every engine:
-  compiled/interpreted x analytic/frame-level Ethernet.  Acceptance
+  compiled and interpreted (the shared Ethernet has one walk, so
+  compilation is the campaign's only engine axis).  Acceptance
   requires byte-identical ``CompletionReport``s and metric snapshots
-  across all four; the compiled-vs-interpreted ratio on the analytic
-  wire is recorded as ``paper_scale_ab.speedup``, unthresholded (wire
-  simulation dominates paper-scale cells).
+  across both; their wall-clock ratio is recorded as
+  ``paper_scale_ab.speedup``, unthresholded (wire simulation dominates
+  paper-scale cells).
 
 Run as a script for the JSON record, ``--check`` to enforce the
 acceptance thresholds (CI's bench-regression job does both)::
@@ -207,12 +208,11 @@ def measure_paper_scale_ab(repeats: int = 3) -> dict:
 # Paper-scale campaign: warm result cache + the engine matrix.
 # --------------------------------------------------------------------------
 
-#: The engine matrix: compiled/interpreted x analytic/frame-level wire.
+#: The engine matrix: the campaign pages over the shared Ethernet, whose
+#: one engine axis is trace compilation.
 ENGINES = {
-    "compiled+analytic": {},
-    "compiled+frame-level": {"analytic_ethernet": False},
-    "interpreted+analytic": {"compile": False},
-    "interpreted+frame-level": {"compile": False, "analytic_ethernet": False},
+    "compiled": {},
+    "interpreted": {"compile": False},
 }
 
 #: Warm (all-hit) campaign passes timed; the median is reported.
@@ -285,8 +285,8 @@ def measure_warm_campaign(repeats: int = 3) -> dict:
     base = uncached[0]
     uncached_wall = median(run["wall"] for run in uncached)
     warm_wall = median(run["wall"] for run in warm)
-    compiled = matrix["compiled+analytic"]["wall"]
-    interpreted = matrix["interpreted+analytic"]["wall"]
+    compiled = matrix["compiled"]["wall"]
+    interpreted = matrix["interpreted"]["wall"]
     return {
         "warm_campaign": {
             "app": "gauss",

@@ -305,12 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
         "bit-identical either way)",
     )
     group.add_argument(
-        "--no-analytic-ethernet", action="store_true",
-        help="disable the uncontended-medium analytic Ethernet service "
-        "path: simulate every frame's CSMA/CD state machine (A/B "
-        "switch; results are bit-identical either way)",
-    )
-    group.add_argument(
         "--no-analytic-switched", action="store_true",
         help="disable the switched fabric's per-port-pair analytic "
         "service path: simulate every uplink/hop/drain step (A/B "
@@ -630,7 +624,6 @@ def _engine_config(args) -> EngineConfig:
     """The one :class:`EngineConfig` the execution flags select."""
     return EngineConfig(
         compile=not args.no_compile,
-        analytic_ethernet=not args.no_analytic_ethernet,
         analytic_switched=not args.no_analytic_switched,
     )
 

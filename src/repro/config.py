@@ -211,14 +211,11 @@ class EngineConfig:
 
     * ``compile`` — replay precompiled fault schedules where eligible
       (``repro.compile``); off interprets every reference stream.
-    * ``analytic_ethernet`` — serve uncontended shared-Ethernet
-      messages analytically; off walks every frame's CSMA/CD steps.
     * ``analytic_switched`` — serve uncontended switched-fabric port
       pairs analytically; off walks every uplink/hop/drain step.
     """
 
     compile: bool = True
-    analytic_ethernet: bool = True
     analytic_switched: bool = True
 
 

@@ -209,7 +209,7 @@ def build_cluster(
     synchronous datapath bit-identically.
 
     ``engine`` selects the host-side fast paths (trace compilation and
-    the analytic Ethernet and switched-fabric service paths — see
+    the switched fabric's analytic service path — see
     :class:`~repro.config.EngineConfig`).  Every setting
     produces byte-identical results; the default takes every fast path.
 
@@ -259,9 +259,7 @@ def build_cluster(
     elif token_ring_spec is not None:
         network = TokenRing(sim, spec=token_ring_spec)
     else:
-        network = EthernetCsmaCd(
-            sim, spec=ethernet_spec, rngs=rngs, analytic=engine.analytic_ethernet
-        )
+        network = EthernetCsmaCd(sim, spec=ethernet_spec, rngs=rngs)
     stack = ProtocolStack(network, spec=protocol_spec)
     if retry_spec is not None:
         stack.retry = retry_spec

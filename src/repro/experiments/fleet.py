@@ -129,10 +129,7 @@ def build_fleet(
             analytic=engine.analytic_switched,
         )
     else:
-        fabric = EthernetCsmaCd(
-            sim, spec=ethernet_spec, rngs=RngRegistry(seed=seed),
-            analytic=engine.analytic_ethernet,
-        )
+        fabric = EthernetCsmaCd(sim, spec=ethernet_spec, rngs=RngRegistry(seed=seed))
     stack = ProtocolStack(fabric)
 
     # Size donor hosts to hold every client's grant plus slack.

@@ -86,9 +86,10 @@ class UnreliableNetwork:
         self.max_extra_delay = max_extra_delay
         self.counters = Counter()
         if any((drop_rate, corrupt_rate, duplicate_rate, delay_rate)):
-            # Chaos campaigns pin frame-level digests; keep the wrapped
-            # network off its analytic fast path so fault timing lands on
-            # the exact event sequence those digests were recorded from.
+            # Chaos campaigns pin per-event digests; keep a wrapped
+            # switched fabric off its analytic fast path so fault timing
+            # lands on the exact event sequence those digests were
+            # recorded from.  (The shared Ethernet has one walk.)
             if getattr(inner, "analytic", None):
                 inner.analytic = False
 

@@ -49,9 +49,9 @@ class NetworkStats:
         self.message_latency = Tally()
         self.wire = UtilizationTracker(now=sim.now)
         #: Optional hook a network installs to settle lazily-deferred
-        #: wire accounting before anyone reads utilisation (the analytic
-        #: Ethernet fast path defers its busy/idle marks — see
-        #: ``repro.net.ethernet``).
+        #: wire accounting before anyone reads utilisation (the switched
+        #: fabric's analytic holds defer their busy/idle marks — see
+        #: ``repro.net.switched``).
         self._pre_read = None
 
     def delivered(self, message: Message) -> None:

@@ -21,13 +21,12 @@ chained timeouts would produce::
     t_end      = t_hop_end + drain   # last frame drained downlink
 
 and the whole message parks on ONE kernel event at ``t_end`` — a *fast
-hold*.  Unlike the shared Ethernet (one medium, one hold), holds here
-are per port pair: a 64-client fleet paging over disjoint links runs
-every active transfer analytically at once.  Wire-utilisation marks are
-applied lazily through a global time-ordered mark queue (holds from many
-port pairs overlap, so marks must settle in time order across all of
-them), settled whenever utilisation is read or a direct event-driven
-mark needs the wire.  If a second flow lands on a busy port — another
+hold*.  Holds are per port pair: a 64-client fleet paging over
+disjoint links runs every active transfer analytically at once.
+Wire-utilisation marks are applied lazily through a global time-ordered
+mark queue (holds from many port pairs overlap, so marks must settle in
+time order across all of them), settled whenever utilisation is read
+or a direct event-driven mark needs the wire.  If a second flow lands on a busy port — another
 transfer reaching ``tx.acquire`` on the held source, or ``rx.acquire``
 on the held destination — the hold is **devirtualized**: the exact
 event-driven state at that instant (mid-uplink / in the switch hop /
@@ -41,7 +40,7 @@ test_analytic_switched.py`` sweeps arrival offsets across every
 boundary, including exact hits).  ``--no-analytic-switched``
 (``EngineConfig.analytic_switched``, or ``analytic=False``) pins the
 per-event walk for A/B checks; chaos wrappers with nonzero fault rates
-clear the flag outright, exactly as they do for the analytic Ethernet.
+clear the flag outright.
 """
 
 from __future__ import annotations
@@ -301,14 +300,14 @@ class SwitchedNetwork(Network):
     def _devirt_tx(self, host: str, chain_seq: int) -> None:
         hold = self._tx_holds.get(host)
         if hold is not None:
-            self._devirtualize(hold, chain_seq)
+            self._materialize(hold, chain_seq)
 
     def _devirt_rx(self, host: str, chain_seq: int) -> None:
         hold = self._rx_holds.get(host)
         if hold is not None:
-            self._devirtualize(hold, chain_seq)
+            self._materialize(hold, chain_seq)
 
-    def _devirtualize(self, hold: _Hold, chain_seq: int) -> None:
+    def _materialize(self, hold: _Hold, chain_seq: int) -> None:
         """A second flow is about to touch a held port: reconstruct the
         exact event-driven state at this instant and resume there.
 

@@ -62,8 +62,11 @@ def build_meta(
 ) -> Dict[str, Any]:
     """Provenance dict stamped on every CompletionReport.
 
-    Shared between the runner path and the legacy ``run_policy`` path so
-    serial and parallel runs of the same cell produce identical reports.
+    Built from the cell's parameters alone, never from run state, so
+    serial, worker-process and cached runs of the same cell carry
+    identical reports.  ``execute_spec`` stamps every runner cell with
+    it; the traced breakdown cell, which runs inline, stamps its report
+    the same way.
     """
     return {
         "workload": workload_name,

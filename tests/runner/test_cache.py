@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.config import EngineConfig
+from repro.config import EngineConfig, SwitchedNetworkSpec
 from repro.runner import ExperimentRunner, ResultCache, RunSpec, fingerprint
 from repro.runner.execute import execute_spec
 
@@ -83,27 +83,34 @@ def test_entries_are_human_inspectable(tmp_path):
 
 
 # ------------------------------------------------------------ engine keying
-#: A small campaign that compiles and pages over the shared Ethernet, so
-#: both the compile and the analytic-Ethernet axes are live in it.
-CAMPAIGN = [
-    RunSpec.make("gauss", policy, workload_kwargs={"n": 700})
-    for policy in ("no-reliability", "mirroring")
-]
+def _campaign(**overrides):
+    """A small campaign that compiles and pages (over the shared
+    Ethernet unless ``overrides`` pick another network)."""
+    return [
+        RunSpec.make("gauss", policy, workload_kwargs={"n": 700}, overrides=overrides)
+        for policy in ("no-reliability", "mirroring")
+    ]
 
 
 @pytest.mark.parametrize(
-    "engine",
-    [EngineConfig(compile=False), EngineConfig(analytic_ethernet=False)],
-    ids=["no-compile", "no-analytic-ethernet"],
+    "engine, campaign",
+    [
+        (EngineConfig(compile=False), _campaign()),
+        (
+            EngineConfig(analytic_switched=False),
+            _campaign(switched_spec=SwitchedNetworkSpec()),
+        ),
+    ],
+    ids=["no-compile", "no-analytic-switched"],
 )
-def test_engine_keys_the_cache(tmp_path, engine):
+def test_engine_keys_the_cache(tmp_path, engine, campaign):
     """An A/B leg on another engine must recompute, never be served the
     default engine's cached cells — and must reproduce them exactly."""
-    cold = ExperimentRunner(use_cache=True, cache_dir=tmp_path).run(CAMPAIGN)
+    cold = ExperimentRunner(use_cache=True, cache_dir=tmp_path).run(campaign)
 
     other = ExperimentRunner(use_cache=True, cache_dir=tmp_path, engine=engine)
-    results = other.run(CAMPAIGN)
-    assert (other.cache.hits, other.cache.misses) == (0, len(CAMPAIGN))
+    results = other.run(campaign)
+    assert (other.cache.hits, other.cache.misses) == (0, len(campaign))
     assert not any(r.cached for r in results)
     assert all(r.spec.engine == engine for r in results)
     assert [json.dumps(dataclasses.asdict(r.report), sort_keys=True) for r in results] == [
@@ -112,8 +119,8 @@ def test_engine_keys_the_cache(tmp_path, engine):
 
     # Each engine then owns its slots: a rerun of either leg hits.
     again = ExperimentRunner(use_cache=True, cache_dir=tmp_path, engine=engine)
-    assert all(r.cached for r in again.run(CAMPAIGN))
-    assert len(list(tmp_path.glob("*.json"))) == 2 * len(CAMPAIGN)
+    assert all(r.cached for r in again.run(campaign))
+    assert len(list(tmp_path.glob("*.json"))) == 2 * len(campaign)
 
 
 # ------------------------------------------------------ source digest

@@ -57,11 +57,9 @@ def test_retired_engine_switches_are_inert(monkeypatch):
     }
     for name, value in retired.items():
         monkeypatch.setenv(name, value)
-    cluster = build_cluster()
+    cluster = build_cluster(switched_spec=SwitchedNetworkSpec())
     assert cluster.network.analytic is True
     assert cluster.machine.compile_schedules is True
-    switched = build_cluster(switched_spec=SwitchedNetworkSpec())
-    assert switched.network.analytic is True
 
 
 #: Run in a fresh interpreter: one content-mode ec-2-1 cell (GF(256)
